@@ -35,12 +35,11 @@ from .fitting import (
 from .invariants import (
     Grade,
     ParamTriple,
-    codescent_defect,
     defect_bound,
     predict_parameters,
     structural_invariants,
 )
-from .modules import classify_case, require_valid
+from .modules import CaseTag, classify_case, require_valid
 from .quotients import DEFAULT_DIMENSION_CAP, CapExceeded, OrderSequence, order_sequence
 from .scenario_io import RunSpec, ScenarioParseError, parse_run
 from .scenarios import (
@@ -165,9 +164,10 @@ def _cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
     require_valid(spec.module, spec.descent)
     inv = structural_invariants(spec.module)
     case = classify_case(spec.module, spec.descent)
-    defect = codescent_defect(spec.module, spec.descent)
-    bound = defect_bound(spec.module, spec.descent)
     predicted = predict_parameters(spec.module, spec.descent)
+    # the generic prediction is lam - defect; the other cases have no defect
+    defect = inv.lam - predicted.lam_tilde if case is CaseTag.GENERIC else 0
+    bound = defect_bound(spec.module, spec.descent)
     if args.json:
         _emit_json(
             out,

@@ -13,20 +13,19 @@ has bounded spread.
 
 The generic case subtracts a codescent defect from the distinguished-degree
 invariant.  The defect is a sum over the irreducible factors c of the level-e
-tower polynomial: each contributes deg(c) times the rank of the generator
-matrix over the field Q[x]/(c), where the matrix collects the free-part
-coordinates of the descent generators reduced mod c.  Ranks are computed by
-fraction-exact Gaussian elimination over Q[x]/(c); this matches the rank over
-the corresponding l-adic field because rank is preserved under extension of
-the ground field, and every c here is irreducible in both.
+tower polynomial: each contributes deg(c) times the rank over the field
+Q[x]/(c) of the free-part coordinates of the descent generators, computed as
+the integer rank of their blocks of multiplication on Z[x]/(c).  This matches
+the rank over the corresponding l-adic field because rank is preserved under
+extension of the ground field, and every c here is irreducible in both.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from fractions import Fraction
 
+from .linalg import diagonal_entries
 from .modules import (
     CaseTag,
     DescentDatum,
@@ -36,7 +35,7 @@ from .modules import (
     LPower,
     classify_case,
 )
-from .polynomials import IntPoly, cyclotomic_factors
+from .polynomials import cyclotomic_factors, multiplication_matrix
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,140 +90,29 @@ class ParamTriple:
         )
 
 
-# ---------------------------------------------------------------------------
-# Exact arithmetic in Q[x]/(c) for an irreducible monic integer polynomial c.
-# Elements are tuples of Fractions of length deg(c).
-
-
-def _reduce_int_poly(p: IntPoly, c: IntPoly) -> tuple[Fraction, ...]:
-    r = p % c  # exact: c is monic
-    return tuple(Fraction(r.coeff(i)) for i in range(c.degree))
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        shift = len(a) - len(b)
-        coef = a[-1] / lead
-        q[shift] = coef
-        for i in range(len(b)):
-            a[shift + i] -= coef * b[i]
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-class _ResidueField:
-    """Q[x]/(c) with c monic irreducible; just enough for rank computations."""
-
-    def __init__(self, c: IntPoly) -> None:
-        self.c = [Fraction(x) for x in c.coeffs]
-        self.degree = c.degree
-
-    def is_zero(self, a: tuple[Fraction, ...]) -> bool:
-        return not any(a)
-
-    def mul(self, a, b):
-        prod = _poly_mul(list(a), list(b))
-        _, rem = _poly_divmod(prod, self.c)
-        rem += [Fraction(0)] * (self.degree - len(rem))
-        return tuple(rem)
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def inv(self, a):
-        # extended Euclid in Q[x]; gcd(a, c) is a nonzero constant
-        r0, s0 = self.c[:], []
-        r1, s1 = _poly_trim(list(a)), [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            qs = _poly_mul(q, s1)
-            s = [Fraction(0)] * max(len(s0), len(qs))
-            for i in range(len(s)):
-                if i < len(s0):
-                    s[i] += s0[i]
-                if i < len(qs):
-                    s[i] -= qs[i]
-            r0, s0, r1, s1 = r1, s1, r, _poly_trim(s)
-        if not r1:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-        unit = r1[0]
-        inv = [x / unit for x in s1]
-        _, inv = _poly_divmod(inv, self.c)
-        inv += [Fraction(0)] * (self.degree - len(inv))
-        return tuple(inv)
-
-
-def _matrix_rank(rows: list[list[tuple[Fraction, ...]]], field: _ResidueField) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(cols):
-        src = next(
-            (i for i in range(pivot_row, len(rows)) if not field.is_zero(rows[i][col])),
-            None,
-        )
-        if src is None:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        inv = field.inv(rows[pivot_row][col])
-        rows[pivot_row] = [field.mul(inv, x) for x in rows[pivot_row]]
-        for i in range(len(rows)):
-            if i == pivot_row or field.is_zero(rows[i][col]):
-                continue
-            factor = rows[i][col]
-            rows[i] = [
-                field.sub(x, field.mul(factor, y))
-                for x, y in zip(rows[i], rows[pivot_row])
-            ]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(rows):
-            break
-    return rank
-
-
 def codescent_defect(module: ElementaryModule, descent: DescentDatum) -> int:
     """Defect subtracted from the distinguished degree in the generic case.
 
     Zero for special and trivial descent data.  Otherwise the sum, over the
-    irreducible factors c of the level-e tower polynomial, of deg(c) times
-    the rank over Q[x]/(c) of the free-part coordinates of the generators.
+    irreducible factors c of the level-e tower polynomial, of the rank over Q
+    of the rows T^j * g mod c (j < deg c, the free coordinates of a generator
+    g side by side), which is deg(c) times the rank over Q[x]/(c).
     """
     if classify_case(module, descent) is not CaseTag.GENERIC:
         return 0
     assert isinstance(descent, GenericDescent)
-    if module.free_rank == 0:
-        return 0
+    ell = module.prime.value
     total = 0
     for c in cyclotomic_factors(module.prime, descent.level):
-        field = _ResidueField(c)
-        rows = [
-            [_reduce_int_poly(coord, c) for coord in gen.coords[: module.free_rank]]
-            for gen in descent.generators
-        ]
-        total += c.degree * _matrix_rank(rows, field)
+        rows = []
+        for gen in descent.generators:
+            blocks = [multiplication_matrix(coord, c) for coord in gen.coords[: module.free_rank]]
+            rows.extend([x for col in cols for x in col] for cols in zip(*blocks))
+        # the j = 0 rows span a subspace, so full rank there is the answer
+        rank = len(diagonal_entries(rows[:: c.degree], ell))
+        if rank < module.free_rank * c.degree:
+            rank = len(diagonal_entries(rows, ell))
+        total += rank
     return total
 
 

@@ -6,8 +6,9 @@ Two kernels live here.
 column operations, used on the small matrices that decide whether a vector
 lies in the l-local span of others (solvability with denominators prime to
 l).  For nested spans, equality of rank plus total l-valuation of the
-diagonal is equivalent to equality of the spans, so membership reduces to
-comparing those two numbers for W and [W | v].
+diagonal (``span_invariants``) is equivalent to equality of the spans, so
+membership reduces to comparing those two numbers for W and [W | v], and a
+whole batch of vectors can be tested at once against [W | v_1 ... v_m].
 
 ``divisor_valuations`` computes the cyclic decomposition of
 Z^D / (column lattice + l^N Z^D).  The l^N identity columns are never
@@ -110,25 +111,23 @@ def diagonal_entries(rows: list[list[int]], ell: int) -> list[int]:
     return out
 
 
+def span_invariants(columns: list[list[int]], ell: int) -> tuple[int, int]:
+    """Rank and total l-valuation of the diagonalized matrix with these columns.
+
+    For nested l-local spans W <= W' the pair is equal exactly when the spans
+    are equal.
+    """
+    d = diagonal_entries(list(zip(*columns)), ell)
+    return len(d), sum(ell_valuation(x, ell) for x in d)
+
+
 def in_local_span(columns: list[list[int]], target: list[int], ell: int) -> bool:
     """Whether target = W x is solvable with denominators prime to l.
 
     columns are the generators W (each a vector); membership is decided by
-    elementary-divisor analysis of W against [W | target].
+    comparing the span invariants of W and [W | target].
     """
-    if all(x == 0 for x in target):
-        return True
-    if not columns:
-        return False
-    base = [list(col) for col in zip(*columns)]
-    augmented = [row + [t] for row, t in zip(base, target)]
-    d0 = diagonal_entries(base, ell)
-    d1 = diagonal_entries(augmented, ell)
-    if len(d0) != len(d1):
-        return False
-    total0 = sum(ell_valuation(x, ell) for x in d0)
-    total1 = sum(ell_valuation(x, ell) for x in d1)
-    return total0 == total1
+    return span_invariants(columns, ell) == span_invariants([*columns, target], ell)
 
 
 def _divisor_valuations_python(

@@ -326,3 +326,25 @@ def poly_mod_reduce(p: IntPoly, modulus_poly: IntPoly, modulus_int: int) -> IntP
             rem[top - dd + i] = (rem[top - dd + i] - lead * b) % modulus_int
         rem[top] = 0
     return IntPoly(tuple(rem[:dd]))
+
+
+def multiplication_matrix(p: IntPoly, c: IntPoly) -> list[list[int]]:
+    """Multiplication by p on Z[T]/(c), as the columns (T^j * p) mod c, j < deg(c).
+
+    c must be monic.  Each column lists deg(c) coefficients, low degree first.
+
+    >>> multiplication_matrix(IntPoly((1, 1)), IntPoly((2, 0, 1)))
+    [[1, 1], [-2, 1]]
+    """
+    if not c.is_monic:
+        raise ValueError("polynomial modulus must be monic")
+    low = c.coeffs[:-1]
+    r = p % c
+    col = [r.coeff(i) for i in range(c.degree)]
+    columns = []
+    for _ in range(c.degree):
+        columns.append(col)
+        # T * col: shift up, then fold T^deg(c) = -(low part of c) back in
+        top = col[-1]
+        col = [x - top * b for x, b in zip([0] + col[:-1], low)]
+    return columns

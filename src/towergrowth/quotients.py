@@ -103,6 +103,14 @@ def _check_levels(descent: DescentDatum, n: int, k: int) -> None:
         raise ValueError(f"level n={n} is below the descent level e={descent.level}")
 
 
+def _check_dimension(module: ElementaryModule, n: int, dimension_cap: int) -> None:
+    dim = module.coordinate_count * module.prime.value**n
+    if dim > dimension_cap:
+        raise CapExceeded(
+            f"ambient dimension {dim} exceeds the cap {dimension_cap} at level n={n}"
+        )
+
+
 def _relation_columns(
     module: ElementaryModule, descent: DescentDatum, n: int, exponent: int
 ) -> tuple[int, list[list[int]]]:
@@ -162,13 +170,9 @@ def _quotient_valuations(
     dimension_cap: int,
 ) -> list[int]:
     _check_levels(descent, n, k)
+    _check_dimension(module, n, dimension_cap)
     exponent = n + k
     ell = module.prime.value
-    dim = module.coordinate_count * ell**n
-    if dim > dimension_cap:
-        raise CapExceeded(
-            f"ambient dimension {dim} exceeds the cap {dimension_cap} at level n={n}"
-        )
     dim, columns = _relation_columns(module, descent, n, exponent)
     if columns:
         rows = [[col[i] for col in columns] for i in range(dim)]
@@ -232,6 +236,9 @@ def order_sequence(
             raise ValueError(
                 f"sequences for generic data start at n >= e+1 = {level + 1}"
             )
+    # before any level: l^n outgrows the cap within its bit length past n_min
+    _check_levels(descent, n_min, k)
+    _check_dimension(module, min(n_max, n_min + dimension_cap.bit_length()), dimension_cap)
     values = tuple(
         sum(_quotient_valuations(module, descent, n, k, dimension_cap))
         for n in range(n_min, n_max + 1)

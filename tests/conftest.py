@@ -92,8 +92,7 @@ def _pad(
     return ModuleElement(free_coords=tuple(free), torsion_coords=tuple(torsion))
 
 
-def build_generic_case(rng: random.Random) -> CorpusCase:
-    ell = 2
+def build_generic_case(rng: random.Random, ell: int = 2) -> CorpusCase:
     module = _random_module(rng, ell)
     level = rng.randint(0, 2)
     pieces = list(cyclotomic_factors(ell, level))

@@ -111,10 +111,10 @@ class TestCodescentDefect:
         assert defect_bound(mod, GenericDescent(1, ())) == 6
         assert defect_bound(mod, SpecialDescent()) == 0
 
-    @given(seed=st.integers(0, 10_000))
+    @given(seed=st.integers(0, 10_000), ell=st.sampled_from([2, 3, 5]))
     @settings(max_examples=40, deadline=None)
-    def test_defect_within_bound_on_constructed_cases(self, seed):
-        case = build_generic_case(random.Random(seed))
+    def test_defect_within_bound_on_constructed_cases(self, seed, ell):
+        case = build_generic_case(random.Random(seed), ell)
         kappa = codescent_defect(case.module, case.descent)
         assert 0 <= kappa <= defect_bound(case.module, case.descent)
         if case.expected_defect is not None:

@@ -25,7 +25,13 @@ from towergrowth import (
     validate_descent,
     zero_element,
 )
-from towergrowth.modules import canonicalize, require_valid
+from towergrowth.linalg import in_local_span
+from towergrowth.modules import (
+    _quotient_relation_columns,
+    _residue_vector,
+    canonicalize,
+    require_valid,
+)
 from towergrowth.polynomials import T, ZERO
 
 from conftest import build_generic_case
@@ -40,7 +46,39 @@ def _rank_one_gen(*coeffs):
     return ModuleElement(free_coords=(IntPoly(tuple(coeffs)),), torsion_coords=())
 
 
+def _pair_gen(a, b):
+    return ModuleElement(free_coords=(IntPoly(tuple(a)), IntPoly(tuple(b))), torsion_coords=())
+
+
+def _first_unstable(module, descent):
+    """The per-generator definition: the first y whose T*y leaves the l-local
+    span of the generators and the torsion relations at level e."""
+    level = descent.level
+    span = [_residue_vector(module, g, level) for g in descent.generators]
+    span += _quotient_relation_columns(module, level)
+    for idx, gen in enumerate(descent.generators):
+        image = _residue_vector(module, gen.times_t(), level)
+        if not in_local_span(span, image, module.prime.value):
+            return idx
+    return None
+
+
+def _assert_report_matches_definition(module, descent):
+    report = validate_descent(module, descent)
+    idx = _first_unstable(module, descent)
+    assert report.valid is (idx is None)
+    assert report.failing_generator == idx
+    if idx is not None:
+        assert report.witness == canonicalize(module, descent.generators[idx].times_t())
+        assert report.detail == (
+            f"T * generator {idx} is not an l-local combination of the "
+            f"generators at level {descent.level}"
+        )
+    return report
+
+
 FREE = ElementaryModule(prime=2, free_rank=1)
+RANK_TWO = ElementaryModule(prime=2, free_rank=2)
 MIXED = ElementaryModule(
     prime=2,
     free_rank=1,
@@ -154,6 +192,26 @@ class TestValidation:
         assert not validate_descent(mod, GenericDescent(1, (one,))).valid
         assert validate_descent(mod, GenericDescent(1, (one, t))).valid
 
+    @pytest.mark.parametrize(
+        "gens, first_bad",
+        [
+            # (T, 0) is stable; T * (0, 1) = (0, T) is outside the span
+            ([((0, 1), ()), ((), (1,))], 1),
+            # T * (1, 1) = (T, 0) + (0, T) fails first, then (0, 1) fails too
+            ([((0, 1), ()), ((1,), ()), ((1,), (1,)), ((), (1,))], 2),
+        ],
+    )
+    def test_first_failure_past_index_zero(self, gens, first_bad):
+        d = GenericDescent(1, tuple(_pair_gen(a, b) for a, b in gens))
+        report = _assert_report_matches_definition(RANK_TWO, d)
+        assert report.failing_generator == first_bad
+        assert report.witness.free_coords[1] == T
+
+    def test_adding_the_missing_image_makes_it_stable(self):
+        gens = (((0, 1), ()), ((1,), ()), ((1,), (1,)), ((), (1,)), ((), (0, 1)))
+        d = GenericDescent(1, tuple(_pair_gen(a, b) for a, b in gens))
+        assert validate_descent(RANK_TWO, d).valid
+
     def test_shape_mismatch_raises(self):
         bad = ModuleElement(free_coords=(T, T), torsion_coords=())
         with pytest.raises(ValueError):
@@ -184,6 +242,36 @@ class TestValidityProperties:
     def test_constructed_corpus_cases_are_valid(self, seed):
         case = build_generic_case(random.Random(seed))
         assert validate_descent(case.module, case.descent).valid
+
+    @given(
+        seed=st.integers(0, 10_000),
+        ell=st.sampled_from([2, 3]),
+        extra=st.lists(
+            st.tuples(st.integers(0, 8), st.lists(st.integers(-3, 3), min_size=1, max_size=3)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_report_matches_per_generator_definition(self, seed, ell, extra):
+        # random elements inserted into a valid datum usually break it, at
+        # whatever index they land
+        case = build_generic_case(random.Random(seed), ell)
+        mod, des = case.module, case.descent
+        if mod.is_zero:
+            return
+        gens = list(des.generators)
+        for pos, coeffs in extra:
+            poly = IntPoly(tuple(coeffs))
+            coords = [poly.shift(i) for i in range(mod.coordinate_count)]
+            gens.insert(
+                pos % (len(gens) + 1),
+                ModuleElement(
+                    free_coords=tuple(coords[: mod.free_rank]),
+                    torsion_coords=tuple(coords[mod.free_rank :]),
+                ),
+            )
+        _assert_report_matches_definition(mod, GenericDescent(des.level, tuple(gens)))
 
     @given(seed=st.integers(0, 10_000), pad=st.lists(st.integers(-3, 3), max_size=2))
     @settings(max_examples=40, deadline=None)

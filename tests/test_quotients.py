@@ -22,6 +22,7 @@ from towergrowth import (
     order_sequence,
     order_valuation,
     quotient_group,
+    quotients,
 )
 
 TRIVIAL = GenericDescent(0, ())
@@ -139,6 +140,23 @@ class TestCaps:
         # would need the level-200 tower polynomial if the cap fired late
         with pytest.raises(CapExceeded):
             order_valuation(LAMBDA, TRIVIAL, 200, dimension_cap=4)
+
+    def test_sequence_cap_checked_before_any_level(self, monkeypatch):
+        # levels 1..5 fit under the cap and level 6 does not: nothing may be
+        # computed for a window that cannot finish
+        calls = []
+        kernel = quotients.divisor_valuations
+        monkeypatch.setattr(
+            quotients, "divisor_valuations", lambda *a: calls.append(a) or kernel(*a)
+        )
+        module = _mod(LPower(1), free_rank=1)
+        with pytest.raises(CapExceeded, match="at level n=6"):
+            order_sequence(module, TRIVIAL, 1, 6, dimension_cap=64)
+        with pytest.raises(CapExceeded):
+            order_sequence(module, TRIVIAL, 1, 10**12, dimension_cap=64)
+        assert calls == []
+        order_sequence(module, TRIVIAL, 1, 5, dimension_cap=64)
+        assert calls
 
     def test_enumeration_element_cap(self):
         with pytest.raises(CapExceeded):
