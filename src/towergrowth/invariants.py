@@ -103,14 +103,17 @@ def codescent_defect(module: ElementaryModule, descent: DescentDatum) -> int:
     assert isinstance(descent, GenericDescent)
     ell = module.prime.value
     total = 0
+    free = [gen.coords[: module.free_rank] for gen in descent.generators]
     for c in cyclotomic_factors(module.prime, descent.level):
-        rows = []
-        for gen in descent.generators:
-            blocks = [multiplication_matrix(coord, c) for coord in gen.coords[: module.free_rank]]
-            rows.extend([x for col in cols for x in col] for cols in zip(*blocks))
         # the j = 0 rows span a subspace, so full rank there is the answer
-        rank = len(diagonal_entries(rows[:: c.degree], ell))
+        residues = [[coord % c for coord in coords] for coords in free]
+        rows = [[r.coeff(i) for r in rs for i in range(c.degree)] for rs in residues]
+        rank = len(diagonal_entries(rows, ell))
         if rank < module.free_rank * c.degree:
+            rows = []
+            for rs in residues:
+                blocks = [multiplication_matrix(r, c) for r in rs]
+                rows.extend([x for col in cols for x in col] for cols in zip(*blocks))
             rank = len(diagonal_entries(rows, ell))
         total += rank
     return total

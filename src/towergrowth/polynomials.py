@@ -7,8 +7,9 @@ prime l is
 
     tower_poly(l, n) = (1 + T)^(l^n) - 1,
 
-computed by applying the l-th power n times so intermediate degrees never
-exceed l^n.  Ratios of tower polynomials and their irreducible factors (T and
+computed coefficient by coefficient from the binomial recurrence
+C(m, i+1) = C(m, i)·(m - i)/(i + 1) with m = l^n, each step an exact integer
+division.  Ratios of tower polynomials and their irreducible factors (T and
 the level ratios) are what every quotient construction downstream reduces by.
 """
 
@@ -242,10 +243,13 @@ def monomial(k: int, c: int = 1) -> IntPoly:
 
 @functools.lru_cache(maxsize=None)
 def _tower_poly_cached(ell: int, n: int) -> IntPoly:
-    p = IntPoly((1, 1))
-    for _ in range(n):
-        p = p**ell
-    return p - ONE
+    m = ell**n
+    coeffs = [0]  # C(m, 0) - 1
+    c = 1
+    for i in range(m):
+        c = c * (m - i) // (i + 1)
+        coeffs.append(c)
+    return IntPoly(tuple(coeffs))
 
 
 def tower_poly(ell: Prime | int, n: int) -> IntPoly:

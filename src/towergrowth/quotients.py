@@ -6,15 +6,29 @@ At level n with exponent shift k the quotient is
 
 where ratio_n_e = tower_ratio(l, n, e) and Y is the span of the descent
 generators (generic case; the special case instead adds one full Z/l^(n+k)
-summand on top of the generator-free quotient).  The ambient module is free
-over Z/l^(n+k) on the monomials T^0..T^(l^n - 1) in each coordinate; the
-relations contribute one column per torsion-factor shift T^j * f_i and one
-column per Y generator (Y is not T-stable as a set, so generators get no
+summand on top of the generator-free quotient).  The module is free over
+Z/l^(n+k) on a basis chosen per coordinate:
+
+* a distinguished coordinate Lambda/(P) of degree d is (Z/l^(n+k))[T]/(P),
+  free on T^0..T^(d-1) by Weierstrass preparation; its relations are the d
+  columns (T^j * tower_poly(l, n)) mod P;
+* a free or l-power coordinate that some generator touches (has a nonzero
+  polynomial in) keeps the monomials T^0..T^(l^n - 1), with the columns
+  l^m * T^a for an l-power factor;
+* a free or l-power coordinate that no generator touches splits off in
+  closed form: l^n cyclic factors of order l^(n+k) (free) or
+  l^min(m, n+k) (l-power), with no elimination at all.
+
+Each Y generator gives one column, its coordinates times ratio_n_e reduced
+mod each block's modulus (Y is not T-stable as a set, so generators get no
 shifts), and the l^(n+k) columns are folded into the elimination kernel.
+``dimension_cap`` counts the full ambient, coordinate_count * l^n, not the
+rows the kernel sees.
 
 ``enumeration_oracle`` recomputes the same order by literal subgroup closure
-in the finite ambient module, sharing nothing with the elimination path but
-the polynomial definitions; it exists to cross-check the engine.
+in the full finite ambient module, l^n monomials in every coordinate; it
+shares the tower polynomial and tower ratio definitions with the elimination
+path and nothing else, and exists to cross-check the engine.
 """
 
 from __future__ import annotations
@@ -24,13 +38,20 @@ import dataclasses
 from .linalg import divisor_valuations, ell_valuation
 from .modules import (
     DescentDatum,
+    DistinguishedFactor,
     ElementaryModule,
     GenericDescent,
     LPower,
     SpecialDescent,
     require_valid,
 )
-from .polynomials import IntPoly, poly_mod_reduce, tower_poly, tower_ratio
+from .polynomials import (
+    IntPoly,
+    multiplication_matrix,
+    poly_mod_reduce,
+    tower_poly,
+    tower_ratio,
+)
 
 DEFAULT_DIMENSION_CAP = 4096
 DEFAULT_ELEMENT_CAP = 2**24
@@ -113,53 +134,57 @@ def _check_dimension(module: ElementaryModule, n: int, dimension_cap: int) -> No
 
 def _relation_columns(
     module: ElementaryModule, descent: DescentDatum, n: int, exponent: int
-) -> tuple[int, list[list[int]]]:
-    """Ambient dimension and relation columns mod (tower_poly(l, n), l^exponent)."""
+) -> tuple[list[int], int, list[list[int]]]:
+    """Valuations split off in closed form, then the dimension and relation
+    columns mod l^exponent of the coordinates left to the kernel."""
     ell = module.prime.value
     block = ell**n
-    dim = module.coordinate_count * block
     q = ell**exponent
-    w = tower_poly(module.prime, n)
+    w = tower_poly(module.prime, n).reduce_coeffs(q)
+    gens = descent.generators if isinstance(descent, GenericDescent) else ()
+    factors = (None,) * module.free_rank + module.torsion_factors
+    split: list[int] = []
+    moduli: dict[int, IntPoly] = {}  # coordinate -> modulus of its kernel block
+    relations: dict[int, IntPoly] = {}  # coordinate -> relation it multiplies by
+    offsets: dict[int, int] = {}
+    dim = 0
+    for idx, factor in enumerate(factors):
+        if isinstance(factor, DistinguishedFactor):
+            moduli[idx] = factor.poly
+            relations[idx] = poly_mod_reduce(w, factor.poly, q)
+        elif any(not g.coords[idx].is_zero for g in gens):
+            moduli[idx] = w
+            if isinstance(factor, LPower):
+                relations[idx] = IntPoly((ell**factor.exponent % q,))
+        else:
+            # untouched: (Z/l^N)[T]/(w) is free on l^n monomials, cut by l^m
+            split += [exponent if factor is None else min(factor.exponent, exponent)] * block
+            continue
+        offsets[idx] = dim
+        dim += moduli[idx].degree
     columns: list[list[int]] = []
 
-    def add_block_poly(offset: int, poly: IntPoly) -> None:
-        r = poly_mod_reduce(poly, w, q)
-        if r.is_zero:
-            return
-        col = [0] * dim
-        for i in range(block):
-            col[offset + i] = r.coeff(i)
-        columns.append(col)
-
-    for idx, factor in enumerate(module.torsion_factors):
-        offset = (module.free_rank + idx) * block
-        if isinstance(factor, LPower):
-            c = ell**factor.exponent % q
-            if c:
-                for a in range(block):
-                    col = [0] * dim
-                    col[offset + a] = c
-                    columns.append(col)
-        else:
-            for a in range(block):
-                add_block_poly(offset, factor.poly.shift(a))
-
-    if isinstance(descent, GenericDescent) and descent.generators:
-        ratio = tower_ratio(module.prime, n, descent.level).reduce_coeffs(q)
-        for gen in descent.generators:
+    def add_column(parts: dict[int, list[int]]) -> None:
+        if any(any(part) for part in parts.values()):
             col = [0] * dim
-            nonzero = False
-            for c_idx, coord in enumerate(gen.coords):
-                r = poly_mod_reduce(ratio * coord.reduce_coeffs(q), w, q)
-                if r.is_zero:
-                    continue
-                nonzero = True
-                offset = c_idx * block
-                for i in range(block):
-                    col[offset + i] = r.coeff(i)
-            if nonzero:
-                columns.append(col)
-    return dim, columns
+            for idx, part in parts.items():
+                col[offsets[idx] : offsets[idx] + len(part)] = part
+            columns.append(col)
+
+    for idx, rel in relations.items():
+        for part in multiplication_matrix(rel, moduli[idx]):
+            add_column({idx: [x % q for x in part]})
+
+    if gens:
+        ratio = tower_ratio(module.prime, n, descent.level).reduce_coeffs(q)
+        ratios = {idx: poly_mod_reduce(ratio, modulus, q) for idx, modulus in moduli.items()}
+        for gen in gens:
+            parts = {}
+            for idx, modulus in moduli.items():
+                r = poly_mod_reduce(ratios[idx] * gen.coords[idx].reduce_coeffs(q), modulus, q)
+                parts[idx] = [r.coeff(i) for i in range(modulus.degree)]
+            add_column(parts)
+    return split, dim, columns
 
 
 def _quotient_valuations(
@@ -173,12 +198,12 @@ def _quotient_valuations(
     _check_dimension(module, n, dimension_cap)
     exponent = n + k
     ell = module.prime.value
-    dim, columns = _relation_columns(module, descent, n, exponent)
+    vals, dim, columns = _relation_columns(module, descent, n, exponent)
     if columns:
         rows = [[col[i] for col in columns] for i in range(dim)]
-        vals = divisor_valuations(rows, ell, exponent)
+        vals += divisor_valuations(rows, ell, exponent)
     else:
-        vals = [exponent] * dim
+        vals += [exponent] * dim
     if isinstance(descent, SpecialDescent):
         vals.append(exponent)
     return [v for v in vals if v > 0]
@@ -258,9 +283,10 @@ def enumeration_oracle(
 ) -> int:
     """x(n, k) by literal subgroup closure; independent of the elimination path.
 
-    Enumerates the relation subgroup of the finite ambient module element by
-    element and counts cosets.  Only the tower polynomial itself is shared
-    with the fast engine.
+    Enumerates the relation subgroup of the full finite ambient module, l^n
+    monomials in every coordinate, element by element and counts cosets.
+    Only ``tower_poly`` and ``tower_ratio`` are shared with the fast engine;
+    tests check ``tower_poly`` against repeated multiplication by 1 + T.
     """
     require_valid(module, descent)
     _check_levels(descent, n, k)

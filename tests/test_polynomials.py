@@ -98,6 +98,14 @@ class TestTowerPolys:
         assert tower_poly(3, 1) == IntPoly((0, 3, 3, 1))
         assert tower_poly(2, 0) == T
 
+    @pytest.mark.parametrize(
+        "ell,n",
+        [(ell, n) for ell in (2, 3, 5, 7, 11, 13) for n in range(9) if ell**n <= 256],
+    )
+    def test_tower_poly_matches_repeated_multiplication(self, ell, n):
+        # the definition itself, kept as the reference for the binomial recurrence
+        assert tower_poly(ell, n) == IntPoly((1, 1)) ** (ell**n) - ONE
+
     def test_tower_ratio_frozen_values(self):
         # multiply-back checked by hand
         assert tower_ratio(2, 2, 1) == IntPoly((2, 2, 1))

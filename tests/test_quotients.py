@@ -5,6 +5,10 @@ Frozen group shapes below were computed by hand: write the ambient as
 matrix to diagonal form on paper. Small cases only, so this is tractable.
 """
 
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,9 +25,12 @@ from towergrowth import (
     enumeration_oracle,
     order_sequence,
     order_valuation,
+    parse_run,
     quotient_group,
     quotients,
 )
+
+from conftest import build_generic_case
 
 TRIVIAL = GenericDescent(0, ())
 LAMBDA = ElementaryModule(prime=2, free_rank=1)
@@ -150,12 +157,15 @@ class TestCaps:
             quotients, "divisor_valuations", lambda *a: calls.append(a) or kernel(*a)
         )
         module = _mod(LPower(1), free_rank=1)
+        # a generator keeps the free coordinate in the kernel at every level;
+        # untouched coordinates split off in closed form without a kernel call
+        touched = GenericDescent(0, (ModuleElement((IntPoly((1,)),), (IntPoly(),)),))
         with pytest.raises(CapExceeded, match="at level n=6"):
-            order_sequence(module, TRIVIAL, 1, 6, dimension_cap=64)
+            order_sequence(module, touched, 1, 6, dimension_cap=64)
         with pytest.raises(CapExceeded):
-            order_sequence(module, TRIVIAL, 1, 10**12, dimension_cap=64)
+            order_sequence(module, touched, 1, 10**12, dimension_cap=64)
         assert calls == []
-        order_sequence(module, TRIVIAL, 1, 5, dimension_cap=64)
+        order_sequence(module, touched, 1, 5, dimension_cap=64)
         assert calls
 
     def test_enumeration_element_cap(self):
@@ -204,3 +214,89 @@ class TestEnumerationAgreement:
         descent = GenericDescent(0, (_rank_one_gen(*coeffs),))
         expected = order_valuation(LAMBDA, descent, n, k)
         assert enumeration_oracle(LAMBDA, descent, n, k) == expected
+
+
+class TestReducedAmbient:
+    """Distinguished coordinates as companion blocks and untouched coordinates
+    split off in closed form, checked against the full-ambient enumeration."""
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_generic_draws_match_enumeration(self, ell):
+        rng = random.Random(ell)
+        checked = 0
+        for _ in range(40):
+            case = build_generic_case(rng, ell)
+            for k in (-1, 0, 2):
+                n = max(case.descent.level, 1 - k)
+                try:
+                    slow = enumeration_oracle(case.module, case.descent, n, k, element_cap=2**16)
+                except CapExceeded:
+                    continue
+                assert order_valuation(case.module, case.descent, n, k) == slow
+                checked += 1
+        assert checked >= 25
+
+    FREE_GEN = ModuleElement((IntPoly((1, 1)),), (IntPoly(),))
+    L2_CASES = [
+        # untouched LPower beside a touched free coordinate
+        (_mod(LPower(2), free_rank=1), GenericDescent(0, (FREE_GEN,))),
+        (_mod(LPower(1), free_rank=1), GenericDescent(1, (FREE_GEN, FREE_GEN.times_t()))),
+        # one distinguished coordinate touched, one not
+        (
+            _mod(DistinguishedFactor(IntPoly((2, 1))), DistinguishedFactor(IntPoly((2, 0, 1)))),
+            GenericDescent(0, (ModuleElement((), (IntPoly((1, 1)), IntPoly())),)),
+        ),
+        (
+            _mod(DistinguishedFactor(IntPoly((2, 1))), DistinguishedFactor(IntPoly((0, 2, 1)))),
+            GenericDescent(0, (ModuleElement((), (IntPoly(), IntPoly((3, 1)))),)),
+        ),
+    ]
+    L3_CASES = [
+        (
+            _mod(DistinguishedFactor(IntPoly((3, 1))), LPower(1), prime=3),
+            GenericDescent(0, (ModuleElement((), (IntPoly((1,)), IntPoly())),)),
+        ),
+        (
+            _mod(DistinguishedFactor(IntPoly((3, 1))), LPower(1), prime=3),
+            GenericDescent(0, (ModuleElement((), (IntPoly(), IntPoly((1, 2)))),)),
+        ),
+    ]
+    # (n, k) points whose full ambient the enumeration can still close
+    POINTS = [(module, descent, 2, 0) for module, descent in L2_CASES]
+    POINTS += [(module, descent, 2, -1) for module, descent in L2_CASES]
+    POINTS += [(module, descent, 1, 2) for module, descent in L2_CASES]
+    POINTS += [(module, descent, 1, 0) for module, descent in L3_CASES]
+
+    @pytest.mark.parametrize("module,descent,n,k", POINTS)
+    def test_mixed_touched_coordinates_match_enumeration(self, module, descent, n, k):
+        assert order_valuation(module, descent, n, k) == enumeration_oracle(module, descent, n, k)
+
+    # Counter of factor valuations, computed with the full l^n ambient per coordinate
+    GOLDEN_COUNTS = {
+        "mixed": {
+            (1, 0): {1: 4}, (2, 0): {2: 8}, (3, 0): {2: 8, 3: 8}, (4, 0): {2: 16, 4: 16},
+            (5, 0): {2: 32, 5: 32}, (6, 0): {2: 64, 6: 64}, (0, 3): {1: 1, 2: 1},
+            (1, 3): {2: 2, 4: 2}, (2, 3): {2: 4, 5: 4}, (3, 3): {2: 8, 6: 8},
+            (4, 3): {2: 16, 7: 16}, (5, 3): {2: 32, 8: 32}, (6, 3): {2: 64, 9: 64},
+        },
+        "special": {
+            (1, 0): {1: 6}, (2, 0): {1: 4, 2: 6}, (3, 0): {1: 8, 3: 10}, (4, 0): {1: 16, 4: 18},
+            (5, 0): {1: 32, 5: 34}, (6, 0): {1: 64, 6: 66}, (0, 3): {1: 1, 3: 3},
+            (1, 3): {1: 2, 4: 4}, (2, 3): {1: 4, 5: 6}, (3, 3): {1: 8, 6: 10},
+            (4, 3): {1: 16, 7: 18}, (5, 3): {1: 32, 8: 34}, (6, 3): {1: 64, 9: 66},
+        },
+        "transient": {
+            (1, 0): {1: 2}, (2, 0): {2: 4}, (3, 0): {3: 8}, (4, 0): {3: 16},
+            (5, 0): {3: 32}, (6, 0): {3: 64}, (0, 3): {3: 1}, (1, 3): {3: 2},
+            (2, 3): {3: 4}, (3, 3): {3: 8}, (4, 3): {3: 16}, (5, 3): {3: 32},
+            (6, 3): {3: 64},
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS))
+    def test_golden_run_factor_counts(self, name):
+        path = Path(__file__).parent / "golden" / f"{name}.run"
+        run = parse_run(path.read_text(encoding="utf-8"))
+        for (n, k), counts in self.GOLDEN_COUNTS[name].items():
+            group = quotient_group(run.module, run.descent, n, k)
+            assert Counter(group.divisor_valuations) == counts, (n, k)
