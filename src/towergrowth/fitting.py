@@ -1,8 +1,8 @@
 """Recover asymptotic growth parameters from a computed order sequence.
 
-The model for an order sequence x(n) at a fixed exponent shift is
+The model for an order sequence x(n) at a fixed exponent shift k is
 
-    x(n) = rho * n * l^n + mu * l^n + lam_tilde * n + r(n)
+    x(n) = rho * (n + k) * l^n + mu * l^n + lam_tilde * n + r(n)
 
 with r(n) ultimately constant in the strict cases and merely of bounded
 spread in the generic case.  Fitting works in two stages:
@@ -15,7 +15,7 @@ spread in the generic case.  Fitting works in two stages:
 
 2. Otherwise enumerate integer pairs (rho, mu) up to caps read off the last
    entry.  A wrong exponential part inflates the consecutive differences of
-   x(n) - rho * n * l^n - mu * l^n exponentially, so the pair whose
+   x(n) - rho * (n + k) * l^n - mu * l^n exponentially, so the pair whose
    difference range is smallest anchors the search, and lam_tilde ranges over
    a short interval around those differences.  A candidate qualifies when the
    spread of its residual sequence stays within the acceptance bound; two
@@ -106,7 +106,7 @@ def _solve_trailing_window(seq: OrderSequence) -> tuple[Fraction, ...]:
     rhs = []
     for n in range(seq.n_max - 3, seq.n_max + 1):
         power = Fraction(ell**n)
-        rows.append([n * power, power, Fraction(n), Fraction(1)])
+        rows.append([(n + seq.shift) * power, power, Fraction(n), Fraction(1)])
         rhs.append(Fraction(seq.value_at(n)))
     # Gaussian elimination; the matrix is nonsingular for consecutive levels
     m = [row + [b] for row, b in zip(rows, rhs)]
@@ -123,11 +123,15 @@ def _solve_trailing_window(seq: OrderSequence) -> tuple[Fraction, ...]:
     return tuple(m[i][size] for i in range(size))
 
 
+def _base_series(seq: OrderSequence, rho: int, mu: int) -> list[int]:
+    """x(n) less its exponential part rho * (n + k) * l^n + mu * l^n."""
+    ell, k = seq.prime, seq.shift
+    return [x - (rho * (n + k) + mu) * ell**n for n, x in seq.entries]
+
+
 def _residuals(seq: OrderSequence, rho: int, mu: int, lam_tilde: int) -> list[int]:
-    ell = seq.prime
-    return [
-        x - rho * n * ell**n - mu * ell**n - lam_tilde * n for n, x in seq.entries
-    ]
+    base = _base_series(seq, rho, mu)
+    return [b - lam_tilde * n for b, (n, _) in zip(base, seq.entries)]
 
 
 def _constant_tail_start(residuals: list[int], n_min: int) -> int | None:
@@ -181,9 +185,6 @@ def fit_parameters(
 
     window = seq.n_max - seq.n_min  # >= 3
 
-    def base_series(rho_: int, mu_: int) -> list[int]:
-        return [x - rho_ * n * ell**n - mu_ * ell**n for n, x in seq.entries]
-
     def spread_for(base: list[int], lam_: int) -> int:
         r = [v - lam_ * n for v, (n, _) in zip(base, seq.entries)]
         return max(r) - min(r)
@@ -191,7 +192,7 @@ def fit_parameters(
     # caps for the exponential coefficients, read off the last entry; the
     # rounded rational solution widens them when it is sane
     top = max(seq.values[-1], 0)
-    rho_cap = top // (seq.n_max * ell**seq.n_max) + 1
+    rho_cap = top // ((seq.n_max + seq.shift) * ell**seq.n_max) + 1
     mu_cap = top // ell**seq.n_max + 1
     rho_cap = min(max(rho_cap, min(max(round(rho_f), 0), 63) + 1), 64)
     mu_cap = min(max(mu_cap, min(max(round(mu_f), 0), 63) + 1), 64)
@@ -201,13 +202,13 @@ def fit_parameters(
     ranges: dict[tuple[int, int], tuple[int, int]] = {}
     for rho_ in range(rho_cap + 1):
         for mu_ in range(mu_cap + 1):
-            base = base_series(rho_, mu_)
+            base = _base_series(seq, rho_, mu_)
             d = [b - a for a, b in zip(base, base[1:])]
             ranges[(rho_, mu_)] = (min(d), max(d))
     center_rho, center_mu = min(
         ranges, key=lambda p: (ranges[p][1] - ranges[p][0], p)
     )
-    central = base_series(center_rho, center_mu)
+    central = _base_series(seq, center_rho, center_mu)
     lam_lo, lam_hi = ranges[(center_rho, center_mu)]
     best_lam = min(
         range(lam_lo, lam_hi + 1),
@@ -224,7 +225,7 @@ def fit_parameters(
     for (rho_, mu_), (d_lo, d_hi) in ranges.items():
         if d_hi - d_lo > 2 * bound:
             continue
-        base = base_series(rho_, mu_)
+        base = _base_series(seq, rho_, mu_)
         for lam_ in range(d_lo - extension, d_hi + extension + 1):
             sp = spread_for(base, lam_)
             if sp <= bound:

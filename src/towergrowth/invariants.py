@@ -5,7 +5,7 @@ l-exponent of its l-power torsion factors, and the total degree of its
 distinguished-polynomial torsion factors.  For a module with descent data the
 order valuations x(n, k) eventually follow
 
-    x(n, k) = rho * n * l^n + mu * l^n + lam_tilde * n + (bounded term)
+    x(n, k) = rho * (n + k) * l^n + mu * l^n + lam_tilde * n + (bounded term)
 
 and this module computes the predicted (rho, mu, lam_tilde) together with a
 grade saying whether the bounded term is ultimately constant (strict) or only

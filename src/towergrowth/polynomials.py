@@ -332,6 +332,48 @@ def poly_mod_reduce(p: IntPoly, modulus_poly: IntPoly, modulus_int: int) -> IntP
     return IntPoly(tuple(rem[:dd]))
 
 
+def tower_residues(
+    ell: Prime | int, n: int, e: int, modulus_poly: IntPoly, modulus_int: int
+) -> tuple[IntPoly, IntPoly]:
+    """tower_poly(l, n) and tower_ratio(l, n, e) modulo (modulus_poly, modulus_int).
+
+    Both come from u_i = (1 + T)^(l^i), raised to the l-th power level by
+    level in (Z/modulus_int)[T]/(modulus_poly): the tower polynomial is
+    u_n - 1, and the ratio is the product over e <= i < n of
+    1 + u_i + ... + u_i^(l-1).  That is O(n * l) products of residues of
+    degree below deg(modulus_poly), never the l^n coefficients of either
+    polynomial.  modulus_poly must be monic.
+
+    >>> [str(r) for r in tower_residues(2, 3, 1, T, 16)]  # T = 0: omega = 0, nu = l^(n-e)
+    ['0', '4']
+    >>> P = IntPoly((2, 0, 1))
+    >>> [str(r) for r in tower_residues(2, 3, 1, P, 16)]
+    ['8*T', '4*T']
+    >>> tower_residues(3, 2, 0, P, 9) == (
+    ...     poly_mod_reduce(tower_poly(3, 2), P, 9),
+    ...     poly_mod_reduce(tower_ratio(3, 2, 0), P, 9))
+    True
+    """
+    ell = as_prime(ell).value
+    if e < 0 or n < e:
+        raise ValueError(f"need 0 <= e <= n, got e={e}, n={n}")
+
+    def mul(a: IntPoly, b: IntPoly) -> IntPoly:
+        return poly_mod_reduce(a * b, modulus_poly, modulus_int)
+
+    one = poly_mod_reduce(ONE, modulus_poly, modulus_int)
+    u = poly_mod_reduce(IntPoly((1, 1)), modulus_poly, modulus_int)
+    ratio = one
+    for i in range(n):
+        powers = [one]
+        for _ in range(ell - 1):
+            powers.append(mul(powers[-1], u))
+        if i >= e:
+            ratio = mul(ratio, sum(powers, ZERO))
+        u = mul(powers[-1], u)
+    return poly_mod_reduce(u - ONE, modulus_poly, modulus_int), ratio
+
+
 def multiplication_matrix(p: IntPoly, c: IntPoly) -> list[list[int]]:
     """Multiplication by p on Z[T]/(c), as the columns (T^j * p) mod c, j < deg(c).
 

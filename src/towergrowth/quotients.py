@@ -2,33 +2,38 @@
 
 At level n with exponent shift k the quotient is
 
-    E / ( ratio_n_e * Y  +  tower_poly(l, n) * E  +  l^(n+k) * E )
+    E / ( nu * Y  +  omega_n * E  +  l^N * E ),   N = n + k,
 
-where ratio_n_e = tower_ratio(l, n, e) and Y is the span of the descent
-generators (generic case; the special case instead adds one full Z/l^(n+k)
-summand on top of the generator-free quotient).  The module is free over
-Z/l^(n+k) on a basis chosen per coordinate:
+where omega_n = tower_poly(l, n), nu = nu_{n,e} = omega_n / omega_e and Y is
+the span of the descent generators (generic case; the special case instead
+adds one full Z/l^N summand on top of the generator-free quotient).  The
+module is free over Z/l^N on a basis chosen per coordinate, and no block the
+kernel sees grows with n:
 
-* a distinguished coordinate Lambda/(P) of degree d is (Z/l^(n+k))[T]/(P),
-  free on T^0..T^(d-1) by Weierstrass preparation; its relations are the d
-  columns (T^j * tower_poly(l, n)) mod P;
-* a free or l-power coordinate that some generator touches (has a nonzero
-  polynomial in) keeps the monomials T^0..T^(l^n - 1), with the columns
-  l^m * T^a for an l-power factor;
-* a free or l-power coordinate that no generator touches splits off in
-  closed form: l^n cyclic factors of order l^(n+k) (free) or
-  l^min(m, n+k) (l-power), with no elimination at all.
+* a distinguished coordinate Lambda/(P) of degree d is (Z/l^N)[T]/(P), free
+  on T^0..T^(d-1) by Weierstrass preparation; its relations are the d
+  columns T^j * omega_n mod P, and a generator's entry is nu * g mod P, with
+  omega_n and nu taken mod (P, l^N) by ``tower_residues``;
+* a free or l-power coordinate (Z/l^N)[T]/(omega_n), cut by l^m for
+  Lambda/(l^m), is Z/l^N[Gamma_n].  Multiplication by nu maps
+  (Z/l^N)[T]/(omega_e) onto its Gal(K_n/K_e)-invariants, a direct summand of
+  rank l^e that holds every generator part nu * g.  If some generator
+  touches the coordinate (has a nonzero polynomial in it), those l^e rows go
+  to the kernel with modulus omega_e, entries g mod omega_e and, for
+  Lambda/(l^m), the columns l^m * T^a; the other l^n - l^e rows split off
+  in closed form, as factors of order l^N (free) or l^min(m, N).  An
+  untouched coordinate splits off whole, l^n such factors.
 
-Each Y generator gives one column, its coordinates times ratio_n_e reduced
-mod each block's modulus (Y is not T-stable as a set, so generators get no
-shifts), and the l^(n+k) columns are folded into the elimination kernel.
+Each Y generator gives one column (Y is not T-stable as a set, so
+generators get no shifts), and the l^N columns are folded into the
+elimination kernel.  Only tower_poly(l, e) is built as a polynomial.
 ``dimension_cap`` counts the full ambient, coordinate_count * l^n, not the
 rows the kernel sees.
 
 ``enumeration_oracle`` recomputes the same order by literal subgroup closure
-in the full finite ambient module, l^n monomials in every coordinate; it
-shares the tower polynomial and tower ratio definitions with the elimination
-path and nothing else, and exists to cross-check the engine.
+in the full finite ambient module, l^n monomials in every coordinate, from
+the exact level-n tower polynomial and tower ratio; it exists to cross-check
+the engine.
 """
 
 from __future__ import annotations
@@ -46,11 +51,13 @@ from .modules import (
     require_valid,
 )
 from .polynomials import (
+    ONE,
     IntPoly,
     multiplication_matrix,
     poly_mod_reduce,
     tower_poly,
     tower_ratio,
+    tower_residues,
 )
 
 DEFAULT_DIMENSION_CAP = 4096
@@ -138,28 +145,32 @@ def _relation_columns(
     """Valuations split off in closed form, then the dimension and relation
     columns mod l^exponent of the coordinates left to the kernel."""
     ell = module.prime.value
-    block = ell**n
     q = ell**exponent
-    w = tower_poly(module.prime, n).reduce_coeffs(q)
     gens = descent.generators if isinstance(descent, GenericDescent) else ()
+    e = descent.level if gens else n
     factors = (None,) * module.free_rank + module.torsion_factors
     split: list[int] = []
     moduli: dict[int, IntPoly] = {}  # coordinate -> modulus of its kernel block
     relations: dict[int, IntPoly] = {}  # coordinate -> relation it multiplies by
+    ratios: dict[int, IntPoly] = {}  # coordinate -> multiplier of generator parts
     offsets: dict[int, int] = {}
     dim = 0
     for idx, factor in enumerate(factors):
         if isinstance(factor, DistinguishedFactor):
             moduli[idx] = factor.poly
-            relations[idx] = poly_mod_reduce(w, factor.poly, q)
-        elif any(not g.coords[idx].is_zero for g in gens):
-            moduli[idx] = w
+            relations[idx], ratios[idx] = tower_residues(module.prime, n, e, factor.poly, q)
+        else:
+            # generator parts lie in the rank-l^e summand nu * (Z/l^N)[T]/(omega_e)
+            # (module docstring); the other rows split off
+            touched = any(not g.coords[idx].is_zero for g in gens)
+            cut = exponent if factor is None else min(factor.exponent, exponent)
+            split += [cut] * (ell**n - (ell**e if touched else 0))
+            if not touched:
+                continue
+            moduli[idx] = tower_poly(module.prime, e)
+            ratios[idx] = ONE
             if isinstance(factor, LPower):
                 relations[idx] = IntPoly((ell**factor.exponent % q,))
-        else:
-            # untouched: (Z/l^N)[T]/(w) is free on l^n monomials, cut by l^m
-            split += [exponent if factor is None else min(factor.exponent, exponent)] * block
-            continue
         offsets[idx] = dim
         dim += moduli[idx].degree
     columns: list[list[int]] = []
@@ -175,15 +186,12 @@ def _relation_columns(
         for part in multiplication_matrix(rel, moduli[idx]):
             add_column({idx: [x % q for x in part]})
 
-    if gens:
-        ratio = tower_ratio(module.prime, n, descent.level).reduce_coeffs(q)
-        ratios = {idx: poly_mod_reduce(ratio, modulus, q) for idx, modulus in moduli.items()}
-        for gen in gens:
-            parts = {}
-            for idx, modulus in moduli.items():
-                r = poly_mod_reduce(ratios[idx] * gen.coords[idx].reduce_coeffs(q), modulus, q)
-                parts[idx] = [r.coeff(i) for i in range(modulus.degree)]
-            add_column(parts)
+    for gen in gens:
+        parts = {}
+        for idx, modulus in moduli.items():
+            r = poly_mod_reduce(ratios[idx] * gen.coords[idx].reduce_coeffs(q), modulus, q)
+            parts[idx] = [r.coeff(i) for i in range(modulus.degree)]
+        add_column(parts)
     return split, dim, columns
 
 
@@ -284,9 +292,10 @@ def enumeration_oracle(
     """x(n, k) by literal subgroup closure; independent of the elimination path.
 
     Enumerates the relation subgroup of the full finite ambient module, l^n
-    monomials in every coordinate, element by element and counts cosets.
-    Only ``tower_poly`` and ``tower_ratio`` are shared with the fast engine;
-    tests check ``tower_poly`` against repeated multiplication by 1 + T.
+    monomials in every coordinate, element by element and counts cosets.  It
+    builds the exact tower_poly(l, n) and tower_ratio(l, n, e), which the fast
+    engine never does; the only definition the two share is tower_poly(l, e),
+    and tests check ``tower_poly`` against repeated multiplication by 1 + T.
     """
     require_valid(module, descent)
     _check_levels(descent, n, k)

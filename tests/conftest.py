@@ -29,6 +29,7 @@ from towergrowth import (
     ModuleElement,
     cyclotomic_factors,
     monomial,
+    quotients,
     tower_poly,
 )
 from towergrowth.polynomials import ONE, ZERO
@@ -169,3 +170,18 @@ def build_generic_case(rng: random.Random, ell: int = 2) -> CorpusCase:
 def generic_corpus() -> list[CorpusCase]:
     rng = random.Random(CORPUS_SEED)
     return [build_generic_case(rng) for _ in range(CORPUS_SIZE)]
+
+
+@pytest.fixture
+def kernel_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """(rows, columns) of every matrix the quotient path hands to the
+    elimination kernel, in call order."""
+    shapes: list[tuple[int, int]] = []
+    kernel = quotients.divisor_valuations
+
+    def recording(rows, *args):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return kernel(rows, *args)
+
+    monkeypatch.setattr(quotients, "divisor_valuations", recording)
+    return shapes

@@ -147,6 +147,18 @@ class TestStdinAndOverrides:
         first = order_valuation(spec.module, spec.descent, 1, k=1)
         assert out.splitlines()[1] == f"1\t{first}"
 
+    @pytest.mark.parametrize("path", [MIXED, SPECIAL])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_verify_passes_at_shift(self, path, k):
+        # x(n, k) carries rho * k * l^n, which the fit must not read as mu
+        code, out, _ = run("verify", path, "--k", str(k))
+        assert code == 0, out
+        assert "verdict\tPASS" in out
+
+    def test_scenario_passes_at_shift(self):
+        code, out, _ = run("scenario", "prop15:l=3,e=1", "--k", "2")
+        assert code == 0, out
+
     def test_scenario_window_override(self):
         code, out, _ = run("scenario", "prop14:e=0", "--n-min", "1", "--n-max", "7")
         assert code == 0

@@ -71,6 +71,22 @@ class TestExactFits:
         assert p.grade is Grade.STRICT
 
 
+    @pytest.mark.parametrize("shift", [-1, 1, 3])
+    def test_shifted_sequence_gives_unshifted_triple(self, shift):
+        # x(n, k) = rho * (n + k) * l^n + mu * l^n + lam * n + nu
+        values = [1 * (n + shift) * 2**n + 2 * 2**n - 3 * n + 4 for n in range(2, 8)]
+        fit = fit_parameters(_seq(values, n_min=2, shift=shift))
+        assert (fit.params.rho, fit.params.mu, fit.params.lam_tilde) == (1, 2, -3)
+        assert fit.params.nu == 4
+
+    def test_shifted_sequence_with_wobble_gives_unshifted_triple(self):
+        # the enumeration path, past the exact trailing-window solve
+        values = [2 * (n + 2) * 3**n + 3**n + n + n % 2 for n in range(1, 9)]
+        fit = fit_parameters(_seq(values, prime=3, shift=2))
+        assert (fit.params.rho, fit.params.mu, fit.params.lam_tilde) == (2, 1, 1)
+        assert fit.params.grade is Grade.BOUNDED
+
+
 class TestPerturbedFits:
     def test_parity_wobble_long_window(self):
         # x(n) = n*2^n + (n mod 2): non-constant residual, unique triple

@@ -5,6 +5,8 @@ division with multiply-back checks) before the implementation existed, and
 are frozen here.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,10 @@ from towergrowth.polynomials import (
     poly_mod_reduce,
     tower_poly,
     tower_ratio,
+    tower_residues,
 )
+
+from conftest import _random_distinguished
 
 
 class TestPrime:
@@ -171,6 +176,34 @@ class TestPolyModReduce:
         p = IntPoly(tuple(coeffs))
         shifted = p + w * IntPoly(tuple(mult)) + scale * q * ONE
         assert poly_mod_reduce(shifted, w, q) == poly_mod_reduce(p, w, q)
+
+
+class TestTowerResidues:
+    """tower_residues against the exact level-n polynomials reduced by
+    poly_mod_reduce, the two routes sharing no arithmetic."""
+
+    @pytest.mark.parametrize(
+        "ell,n", [(ell, n) for ell in (2, 3, 5) for n in range(9) if ell**n <= 256]
+    )
+    def test_matches_reduced_tower_polynomials(self, ell, n):
+        rng = random.Random(ell * 100 + n)
+        moduli = cyclotomic_factors(ell, 3) + tuple(
+            _random_distinguished(rng, ell) for _ in range(3)
+        )
+        for e in range(n + 1):
+            for P in moduli:
+                for N in (1, 5, 40):
+                    q = ell**N
+                    assert tower_residues(ell, n, e, P, q) == (
+                        poly_mod_reduce(tower_poly(ell, n), P, q),
+                        poly_mod_reduce(tower_ratio(ell, n, e), P, q),
+                    ), (e, P, N)
+
+    def test_rejects_inverted_levels_and_non_monic_modulus(self):
+        with pytest.raises(ValueError):
+            tower_residues(2, 1, 2, T, 4)
+        with pytest.raises(ValueError):
+            tower_residues(2, 2, 1, IntPoly((2, 2)), 4)
 
 
 @st.composite

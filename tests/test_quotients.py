@@ -22,15 +22,17 @@ from towergrowth import (
     ModuleElement,
     OrderSequence,
     SpecialDescent,
+    builtin_scenario,
     enumeration_oracle,
     order_sequence,
     order_valuation,
     parse_run,
     quotient_group,
-    quotients,
 )
 
 from conftest import build_generic_case
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TRIVIAL = GenericDescent(0, ())
 LAMBDA = ElementaryModule(prime=2, free_rank=1)
@@ -42,6 +44,10 @@ def _mod(*factors, prime=2, free_rank=0):
 
 def _rank_one_gen(*coeffs):
     return ModuleElement(free_coords=(IntPoly(tuple(coeffs)),), torsion_coords=())
+
+
+def _with_t_shift(level, gen):
+    return GenericDescent(level, (gen, gen.times_t()))
 
 
 class TestQuotientGroups:
@@ -148,14 +154,9 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             order_valuation(LAMBDA, TRIVIAL, 200, dimension_cap=4)
 
-    def test_sequence_cap_checked_before_any_level(self, monkeypatch):
+    def test_sequence_cap_checked_before_any_level(self, kernel_shapes):
         # levels 1..5 fit under the cap and level 6 does not: nothing may be
         # computed for a window that cannot finish
-        calls = []
-        kernel = quotients.divisor_valuations
-        monkeypatch.setattr(
-            quotients, "divisor_valuations", lambda *a: calls.append(a) or kernel(*a)
-        )
         module = _mod(LPower(1), free_rank=1)
         # a generator keeps the free coordinate in the kernel at every level;
         # untouched coordinates split off in closed form without a kernel call
@@ -164,9 +165,9 @@ class TestCaps:
             order_sequence(module, touched, 1, 6, dimension_cap=64)
         with pytest.raises(CapExceeded):
             order_sequence(module, touched, 1, 10**12, dimension_cap=64)
-        assert calls == []
+        assert kernel_shapes == []
         order_sequence(module, touched, 1, 5, dimension_cap=64)
-        assert calls
+        assert kernel_shapes
 
     def test_enumeration_element_cap(self):
         with pytest.raises(CapExceeded):
@@ -261,11 +262,31 @@ class TestReducedAmbient:
             GenericDescent(0, (ModuleElement((), (IntPoly(), IntPoly((1, 2)))),)),
         ),
     ]
+    # e = 1 generators coupling a touched free or LPower coordinate with another
+    COUPLED_CASES = [
+        (
+            _mod(DistinguishedFactor(IntPoly((2, 1))), free_rank=1),
+            _with_t_shift(1, ModuleElement((IntPoly((1,)),), (IntPoly((1,)),))),
+        ),
+        (
+            _mod(LPower(1), DistinguishedFactor(IntPoly((2, 1)))),
+            _with_t_shift(1, ModuleElement((), (IntPoly((1,)), IntPoly((1,))))),
+        ),
+        (
+            _mod(LPower(2), free_rank=1),
+            _with_t_shift(1, ModuleElement((IntPoly((0, 1)),), (IntPoly((1,)),))),
+        ),
+    ]
     # (n, k) points whose full ambient the enumeration can still close
     POINTS = [(module, descent, 2, 0) for module, descent in L2_CASES]
     POINTS += [(module, descent, 2, -1) for module, descent in L2_CASES]
     POINTS += [(module, descent, 1, 2) for module, descent in L2_CASES]
     POINTS += [(module, descent, 1, 0) for module, descent in L3_CASES]
+    POINTS += [
+        (module, descent, n, k)
+        for module, descent in COUPLED_CASES
+        for n, k in ((2, 0), (2, -1), (1, 2))
+    ]
 
     @pytest.mark.parametrize("module,descent,n,k", POINTS)
     def test_mixed_touched_coordinates_match_enumeration(self, module, descent, n, k):
@@ -300,3 +321,41 @@ class TestReducedAmbient:
         for (n, k), counts in self.GOLDEN_COUNTS[name].items():
             group = quotient_group(run.module, run.descent, n, k)
             assert Counter(group.divisor_valuations) == counts, (n, k)
+
+
+class TestLevelIndependentKernel:
+    """The kernel sees l^e rows per touched free or l-power coordinate and
+    deg P rows per distinguished one, at every level n."""
+
+    UNCAPPED = 10**9
+
+    def test_mixed_run_kernel_has_three_rows_at_every_level(self, kernel_shapes):
+        # free, Lambda/(4) and Lambda/(T + 2), all touched at e = 0: 1 + 1 + 1 rows
+        run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
+        order_sequence(run.module, run.descent, 1, 10, dimension_cap=self.UNCAPPED)
+        assert [rows for rows, _ in kernel_shapes] == [3] * 10
+
+    def test_prop14_kernel_has_l_power_e_rows_at_every_level(self, kernel_shapes):
+        scenario = builtin_scenario("prop14:e=2")
+        order_sequence(scenario.module, scenario.descent, 3, 11, dimension_cap=self.UNCAPPED)
+        assert [rows for rows, _ in kernel_shapes] == [2**2] * 9
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_mixed_run_closed_form_at_high_levels(self, n):
+        run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
+        x = order_valuation(run.module, run.descent, n, dimension_cap=self.UNCAPPED)
+        assert x == n * 2**n + 2 * 2**n
+
+    def test_special_run_closed_form_at_level_fourteen(self):
+        run = parse_run((GOLDEN / "special.run").read_text(encoding="utf-8"))
+        x = order_valuation(run.module, run.descent, 14, dimension_cap=self.UNCAPPED)
+        assert x == 14 * 2**14 + 2**14 + 2 * 14 == 245788
+
+    def test_touched_l_power_draw_frozen_values(self):
+        # l = 5, e = 1: two free and two Lambda/(5) coordinates, all touched;
+        # frozen from the full l^n monomial blocks, which took 20 s at n = 4
+        rng = random.Random(1005)
+        for _ in range(11):
+            case = build_generic_case(rng, 5)
+        values = [order_valuation(case.module, case.descent, n) for n in (3, 4)]
+        assert values == [996, 6245]
