@@ -12,12 +12,11 @@ grade saying whether the bounded term is ultimately constant (strict) or only
 has bounded spread.
 
 The generic case subtracts a codescent defect from the distinguished-degree
-invariant.  The defect is a sum over the irreducible factors c of the level-e
-tower polynomial: each contributes deg(c) times the rank over the field
-Q[x]/(c) of the free-part coordinates of the descent generators, computed as
-the integer rank of their blocks of multiplication on Z[x]/(c).  This matches
-the rank over the corresponding l-adic field because rank is preserved under
-extension of the ground field, and every c here is irreducible in both.
+invariant: the rank over Q of the descent generators' free coordinates in
+E / tower_poly(l, e)·E, one elimination with ``span_invariants``.  For valid
+data this equals the per-factor count of the paper, the sum over the
+irreducible factors c of tower_poly(l, e) of deg(c) times the rank over the
+field Q[x]/(c); ``codescent_defect`` says why.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from .linalg import diagonal_entries
+from .linalg import span_invariants
 from .modules import (
     CaseTag,
     DescentDatum,
@@ -33,9 +32,9 @@ from .modules import (
     ElementaryModule,
     GenericDescent,
     LPower,
+    _residue_vector,
     classify_case,
 )
-from .polynomials import cyclotomic_factors, multiplication_matrix
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,30 +92,25 @@ class ParamTriple:
 def codescent_defect(module: ElementaryModule, descent: DescentDatum) -> int:
     """Defect subtracted from the distinguished degree in the generic case.
 
-    Zero for special and trivial descent data.  Otherwise the sum, over the
-    irreducible factors c of the level-e tower polynomial, of the rank over Q
-    of the rows T^j * g mod c (j < deg c, the free coordinates of a generator
-    g side by side), which is deg(c) times the rank over Q[x]/(c).
+    Zero for special and trivial descent data.  Otherwise the rank over Q of
+    the generators' free coordinates mod tower_poly(l, e), in the monomial
+    basis T^0..T^(l^e - 1) of each coordinate.
+
+    The data are assumed valid (``validate_descent``), and the rank is the
+    defect only then: the span of valid generators mod tower_poly(l, e) is
+    T-stable, so its free part is a Q[T]-submodule of (Q[T]/tower_poly)^r.
+    Since Q[T]/tower_poly(l, e) is the product of the fields Q[T]/(c) over
+    the distinct irreducible factors c, such a submodule splits over the
+    factors, and its dimension is the sum over c of deg(c) times its rank
+    over Q[T]/(c).  Rank is preserved under extension of the ground field,
+    so this is also the count over the l-adic fields.
     """
     if classify_case(module, descent) is not CaseTag.GENERIC:
         return 0
     assert isinstance(descent, GenericDescent)
-    ell = module.prime.value
-    total = 0
-    free = [gen.coords[: module.free_rank] for gen in descent.generators]
-    for c in cyclotomic_factors(module.prime, descent.level):
-        # the j = 0 rows span a subspace, so full rank there is the answer
-        residues = [[coord % c for coord in coords] for coords in free]
-        rows = [[r.coeff(i) for r in rs for i in range(c.degree)] for rs in residues]
-        rank = len(diagonal_entries(rows, ell))
-        if rank < module.free_rank * c.degree:
-            rows = []
-            for rs in residues:
-                blocks = [multiplication_matrix(r, c) for r in rs]
-                rows.extend([x for col in cols for x in col] for cols in zip(*blocks))
-            rank = len(diagonal_entries(rows, ell))
-        total += rank
-    return total
+    free = module.free_rank * module.prime.value**descent.level
+    rows = [_residue_vector(module, g, descent.level)[:free] for g in descent.generators]
+    return span_invariants(rows, module.prime.value)[0]
 
 
 def defect_bound(module: ElementaryModule, descent: DescentDatum) -> int:

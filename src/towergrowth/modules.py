@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from .linalg import in_local_span, span_invariants
+from .linalg import span_invariants
 from .polynomials import (
     IntPoly,
     Prime,
@@ -233,7 +233,8 @@ def validate_descent(module: ElementaryModule, descent: DescentDatum) -> Validat
     Special data and generator-free generic data are always valid.  For each
     generator y the image of T·y must lie in the l-local span of the Y images
     inside E / tower_poly(l, e)·E.  All images are tested at once; only on
-    failure are they tested one by one, and the first failing T·y is the witness.
+    failure are they tested one by one against the span's invariants from
+    that comparison, and the first failing T·y is the witness.
     """
     if isinstance(descent, SpecialDescent):
         return ValidationReport(True, detail="special descent carries no generators")
@@ -246,9 +247,10 @@ def validate_descent(module: ElementaryModule, descent: DescentDatum) -> Validat
     span += _quotient_relation_columns(module, level)
     images = [_residue_vector(module, g.times_t(), level) for g in descent.generators]
     ell = module.prime.value
-    if span_invariants(span, ell) != span_invariants(span + images, ell):
+    base = span_invariants(span, ell)
+    if base != span_invariants(span + images, ell):
         for idx, (gen, image) in enumerate(zip(descent.generators, images)):
-            if not in_local_span(span, image, ell):
+            if span_invariants([*span, image], ell) != base:
                 return ValidationReport(
                     False,
                     failing_generator=idx,

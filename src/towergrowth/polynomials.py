@@ -297,7 +297,11 @@ def cyclotomic_factors(ell: Prime | int, e: int) -> tuple[IntPoly, ...]:
 
     tower_poly(l, e) = T * prod(tower_ratio(l, i, i-1) for i in 1..e), each
     factor distinguished and irreducible over the rationals, no factor
-    repeated.
+    repeated.  Nothing in the engine needs the factorization; it stays
+    public because descent data with a known defect are built from it: the
+    cofactor of any product h of these factors spans a T-stable ideal whose
+    free-coordinate copies each add deg(h) to the defect (the seeded test
+    corpus is made this way).
     """
     if e < 0:
         raise ValueError("level must be nonnegative")

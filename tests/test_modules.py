@@ -245,7 +245,7 @@ class TestValidityProperties:
 
     @given(
         seed=st.integers(0, 10_000),
-        ell=st.sampled_from([2, 3]),
+        ell=st.sampled_from([2, 3, 5]),
         extra=st.lists(
             st.tuples(st.integers(0, 8), st.lists(st.integers(-3, 3), min_size=1, max_size=3)),
             min_size=1,
@@ -272,6 +272,15 @@ class TestValidityProperties:
                 ),
             )
         _assert_report_matches_definition(mod, GenericDescent(des.level, tuple(gens)))
+
+    def test_datum_with_two_distinguished_factors_at_l5(self):
+        # l=5, e=2, four generators in Λ/(T^2+5) ⊕ Λ/(T+5): elimination
+        # over Z without a coefficient bound runs for minutes on its spans
+        rng = random.Random(7005)
+        for _ in range(40):
+            case = build_generic_case(rng, 5)
+        assert validate_descent(case.module, case.descent).valid
+        assert codescent_defect(case.module, case.descent) == case.expected_defect
 
     @given(seed=st.integers(0, 10_000), pad=st.lists(st.integers(-3, 3), max_size=2))
     @settings(max_examples=40, deadline=None)
