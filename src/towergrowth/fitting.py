@@ -2,26 +2,36 @@
 
 The model for an order sequence x(n) at a fixed exponent shift k is
 
-    x(n) = rho * (n + k) * l^n + mu * l^n + lam_tilde * n + r(n)
+    x(n) = rho * u(n) + mu * l^n + lam_tilde * n + r(n),   u(n) = (n + k) * l^n
 
 with r(n) ultimately constant in the strict cases and merely of bounded
-spread in the generic case.  Fitting works in two stages:
+spread in the generic case.  Fitting rests on exact difference identities.
+With D the forward difference, b(n) = x(n) - rho * u(n) - mu * l^n the
+base series and e(n) = D^2 b(n), the linear terms drop out and
 
-1. Solve the exact 4x4 linear system through the last four entries for
-   (rho, mu, lam_tilde, nu) in rational arithmetic.  The system matrix on
-   four consecutive levels is nonsingular, so if the sequence is exactly in
-   model form on that window the solution is the unique explanation and is
-   accepted outright when it is integral with rho, mu >= 0.
+    e(n) = D^2 x(n) - rho * D^2 u(n) - mu * (l - 1)^2 * l^n,
+    D^2 u(n) = (l - 1) * l^n * ((n + k) * (l - 1) + 2 * l),
+    e(n) - l * e(n - 1) = D^2 x(n) - l * D^2 x(n - 1) - rho * (l - 1)^2 * l^n.
 
-2. Otherwise enumerate integer pairs (rho, mu) up to caps read off the last
-   entry.  A wrong exponential part inflates the consecutive differences of
-   x(n) - rho * (n + k) * l^n - mu * l^n exponentially, so the pair whose
-   difference range is smallest anchors the search, and lam_tilde ranges over
-   a short interval around those differences.  A candidate qualifies when the
-   spread of its residual sequence stays within the acceptance bound; two
-   distinct qualifying candidates mean the window cannot tell them apart and
+1. When the window ends in model form, e vanishes on the last four entries:
+   rho and then mu are exact quotients at n = n_max - 2 and lam_tilde is
+   the last difference of b.  That is the unique solution through those
+   entries, accepted outright when integral with rho, mu >= 0.
+
+2. Otherwise a pair (rho, mu) whose difference range max D b - min D b is
+   at most w has |e(n)| <= w, so the identities pin rho, then mu, to
+   intervals of width O(w / l^n); every pair in them is checked, so the
+   pairs within any w are listed completely, with no cap.  A wrong
+   exponential part inflates the differences exponentially, so the pair of
+   smallest range (ties to the smaller rho, mu; found by doubling w until
+   some pair meets it) anchors the search: lam_tilde ranges over its
+   differences and sets the acceptance bound.  A
+   triple qualifies when the spread of its residuals stays within the
+   bound; its pair then has range at most twice the bound, and its
+   lam_tilde form the interval |b(j) - b(i) - lam_tilde * (j - i)| <= bound.
+   Two qualifying triples mean the window cannot tell them apart and
    fitting raises ``AmbiguousFitError`` rather than guess.  No qualifying
-   candidate yields the minimum-spread triple marked as unbounded.
+   triple yields the anchor's minimum-spread triple marked as unbounded.
 
 The default acceptance bound grows with the size of lam_tilde and the
 descent level of the sequence: 2 * max(|lam_tilde|, 1) * (level + 2).
@@ -30,7 +40,8 @@ descent level of the sequence: 2 * max(|lam_tilde|, 1) * (level + 2).
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
+from collections.abc import Callable, Iterator
+from itertools import combinations
 
 from .invariants import Grade, ParamTriple
 from .quotients import OrderSequence
@@ -99,30 +110,6 @@ def default_spread_bound(lam_tilde: int, level: int) -> int:
     return 2 * max(abs(lam_tilde), 1) * (level + 2)
 
 
-def _solve_trailing_window(seq: OrderSequence) -> tuple[Fraction, ...]:
-    """Exact solution of the model through the last four entries."""
-    ell = seq.prime
-    rows = []
-    rhs = []
-    for n in range(seq.n_max - 3, seq.n_max + 1):
-        power = Fraction(ell**n)
-        rows.append([(n + seq.shift) * power, power, Fraction(n), Fraction(1)])
-        rhs.append(Fraction(seq.value_at(n)))
-    # Gaussian elimination; the matrix is nonsingular for consecutive levels
-    m = [row + [b] for row, b in zip(rows, rhs)]
-    size = 4
-    for col in range(size):
-        src = next(i for i in range(col, size) if m[i][col])
-        m[col], m[src] = m[src], m[col]
-        pivot = m[col][col]
-        m[col] = [x / pivot for x in m[col]]
-        for i in range(size):
-            if i != col and m[i][col]:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
-    return tuple(m[i][size] for i in range(size))
-
-
 def _base_series(seq: OrderSequence, rho: int, mu: int) -> list[int]:
     """x(n) less its exponential part rho * (n + k) * l^n + mu * l^n."""
     ell, k = seq.prime, seq.shift
@@ -132,6 +119,37 @@ def _base_series(seq: OrderSequence, rho: int, mu: int) -> list[int]:
 def _residuals(seq: OrderSequence, rho: int, mu: int, lam_tilde: int) -> list[int]:
     base = _base_series(seq, rho, mu)
     return [b - lam_tilde * n for b, (n, _) in zip(base, seq.entries)]
+
+
+def _difference_bounds(seq: OrderSequence, rho: int, mu: int) -> tuple[int, int]:
+    base = _base_series(seq, rho, mu)
+    d = [b - a for a, b in zip(base, base[1:])]
+    return min(d), max(d)
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _pins(seq: OrderSequence) -> tuple[int, int, Callable[[int], int]]:
+    """The identities at n = n_max - 2 as (p, s, q): p - rho * s is
+    e(n) - l * e(n - 1), and q(rho) - mu * s is e(n)."""
+    ell, n = seq.prime, seq.n_max - 2
+    x = seq.value_at
+    d2x = [x(m) - 2 * x(m + 1) + x(m + 2) for m in (n - 1, n)]
+    d2u = (ell - 1) * ell**n * ((n + seq.shift) * (ell - 1) + 2 * ell)
+    return d2x[1] - ell * d2x[0], (ell - 1) ** 2 * ell**n, lambda rho: d2x[1] - rho * d2u
+
+
+def _pairs(seq: OrderSequence, w: int) -> Iterator[tuple[int, int, int]]:
+    """(range, rho, mu) for every pair rho, mu >= 0 of difference range <= w."""
+    p, s, q = _pins(seq)
+    slack = (seq.prime + 1) * w  # bounds |e(n) - l * e(n - 1)| when |e| <= w
+    for rho in range(max(_ceil_div(p - slack, s), 0), (p + slack) // s + 1):
+        for mu in range(max(_ceil_div(q(rho) - w, s), 0), (q(rho) + w) // s + 1):
+            lo, hi = _difference_bounds(seq, rho, mu)
+            if hi - lo <= w:
+                yield hi - lo, rho, mu
 
 
 def _constant_tail_start(residuals: list[int], n_min: int) -> int | None:
@@ -161,84 +179,11 @@ def fit_parameters(
     """
     if len(seq.values) < 4:
         raise ValueError("fitting needs at least four consecutive entries")
-    ell = seq.prime
-    rho_f, mu_f, lam_f, nu_f = _solve_trailing_window(seq)
 
-    integral = all(f.denominator == 1 for f in (rho_f, mu_f, lam_f, nu_f))
-    if integral and rho_f >= 0 and mu_f >= 0:
-        rho, mu, lam_tilde = int(rho_f), int(mu_f), int(lam_f)
-        residuals = _residuals(seq, rho, mu, lam_tilde)
-        # exact through the last four levels, so the tail is constant there
-        classification = _classify(residuals, seq.n_min)
-        assert isinstance(classification, UltimatelyConstant)
-        bound = (
-            default_spread_bound(lam_tilde, seq.level)
-            if spread_bound is None
-            else spread_bound
-        )
-        params = ParamTriple(
-            rho, mu, lam_tilde, Grade.STRICT, nu=classification.constant
-        )
-        return FitResult(
-            params, seq.n_min, tuple(residuals), classification, bound
-        )
+    def bound_for(lam_: int) -> int:
+        return default_spread_bound(lam_, seq.level) if spread_bound is None else spread_bound
 
-    window = seq.n_max - seq.n_min  # >= 3
-
-    def spread_for(base: list[int], lam_: int) -> int:
-        r = [v - lam_ * n for v, (n, _) in zip(base, seq.entries)]
-        return max(r) - min(r)
-
-    # caps for the exponential coefficients, read off the last entry; the
-    # rounded rational solution widens them when it is sane
-    top = max(seq.values[-1], 0)
-    rho_cap = top // ((seq.n_max + seq.shift) * ell**seq.n_max) + 1
-    mu_cap = top // ell**seq.n_max + 1
-    rho_cap = min(max(rho_cap, min(max(round(rho_f), 0), 63) + 1), 64)
-    mu_cap = min(max(mu_cap, min(max(round(mu_f), 0), 63) + 1), 64)
-
-    # a pair's residual spread is at least half its difference range, so the
-    # smallest difference range anchors the acceptance bound
-    ranges: dict[tuple[int, int], tuple[int, int]] = {}
-    for rho_ in range(rho_cap + 1):
-        for mu_ in range(mu_cap + 1):
-            base = _base_series(seq, rho_, mu_)
-            d = [b - a for a, b in zip(base, base[1:])]
-            ranges[(rho_, mu_)] = (min(d), max(d))
-    center_rho, center_mu = min(
-        ranges, key=lambda p: (ranges[p][1] - ranges[p][0], p)
-    )
-    central = _base_series(seq, center_rho, center_mu)
-    lam_lo, lam_hi = ranges[(center_rho, center_mu)]
-    best_lam = min(
-        range(lam_lo, lam_hi + 1),
-        key=lambda t: (spread_for(central, t), abs(t), t),
-    )
-    bound = (
-        default_spread_bound(best_lam, seq.level)
-        if spread_bound is None
-        else spread_bound
-    )
-    extension = bound // max(window, 1) + 2
-
-    qualifying: dict[tuple[int, int, int], int] = {}
-    for (rho_, mu_), (d_lo, d_hi) in ranges.items():
-        if d_hi - d_lo > 2 * bound:
-            continue
-        base = _base_series(seq, rho_, mu_)
-        for lam_ in range(d_lo - extension, d_hi + extension + 1):
-            sp = spread_for(base, lam_)
-            if sp <= bound:
-                qualifying[(rho_, mu_, lam_)] = sp
-
-    if len(qualifying) >= 2:
-        ranked = sorted(
-            (sp, rho_, mu_, lam_) for (rho_, mu_, lam_), sp in qualifying.items()
-        )
-        raise AmbiguousFitError([(r, m, t, sp) for sp, r, m, t in ranked])
-
-    if qualifying:
-        (rho, mu, lam_tilde), _ = next(iter(qualifying.items()))
+    def accept(rho: int, mu: int, lam_tilde: int, bound: int) -> FitResult:
         residuals = _residuals(seq, rho, mu, lam_tilde)
         classification = _classify(residuals, seq.n_min)
         strict = isinstance(classification, UltimatelyConstant)
@@ -249,9 +194,50 @@ def fit_parameters(
             Grade.STRICT if strict else Grade.BOUNDED,
             nu=classification.constant if strict else None,
         )
-        return FitResult(
-            params, seq.n_min, tuple(residuals), classification, bound
-        )
+        return FitResult(params, seq.n_min, tuple(residuals), classification, bound)
+
+    p, s, q = _pins(seq)
+    (rho, rho_rem), (mu, mu_rem) = divmod(p, s), divmod(q(p // s), s)
+    if not rho_rem and not mu_rem and rho >= 0 and mu >= 0:
+        base = _base_series(seq, rho, mu)
+        lam_tilde = base[-1] - base[-2]
+        fit = accept(rho, mu, lam_tilde, bound_for(lam_tilde))
+        # exact through the last four levels, so the tail is constant there
+        assert fit.params.grade is Grade.STRICT
+        return fit
+
+    def spread_for(base: list[int], lam_: int) -> int:
+        r = [v - lam_ * n for v, (n, _) in zip(base, seq.entries)]
+        return max(r) - min(r)
+
+    # a pair's residual spread is at least half its difference range, so the
+    # smallest difference range anchors the acceptance bound; the first w in
+    # 0, 1, 3, 7, ... that some pair meets bounds it
+    w = 0
+    while not (near := list(_pairs(seq, w))):
+        w = 2 * w + 1
+    _, center_rho, center_mu = min(near)
+    central = _base_series(seq, center_rho, center_mu)
+    lam_lo, lam_hi = _difference_bounds(seq, center_rho, center_mu)
+    best_lam = min(
+        range(lam_lo, lam_hi + 1),
+        key=lambda t: (spread_for(central, t), abs(t), t),
+    )
+    bound = bound_for(best_lam)
+
+    qualifying: list[tuple[int, int, int, int]] = []  # (spread, rho, mu, lam_tilde)
+    for _, rho_, mu_ in _pairs(seq, 2 * bound):
+        base = _base_series(seq, rho_, mu_)
+        steps = [(bj - bi, j - i) for (i, bi), (j, bj) in combinations(enumerate(base), 2)]
+        low = max(_ceil_div(d - bound, gap) for d, gap in steps)
+        high = min((d + bound) // gap for d, gap in steps)
+        qualifying += [(spread_for(base, t), rho_, mu_, t) for t in range(low, high + 1)]
+
+    if len(qualifying) >= 2:
+        raise AmbiguousFitError([(r, m, t, sp) for sp, r, m, t in sorted(qualifying)])
+
+    if qualifying:
+        return accept(*qualifying[0][1:], bound)
 
     # nothing met the bound; report the least bad triple as unbounded
     residuals = _residuals(seq, center_rho, center_mu, best_lam)

@@ -200,10 +200,7 @@ def _quotient_valuations(
     descent: DescentDatum,
     n: int,
     k: int,
-    dimension_cap: int,
 ) -> list[int]:
-    _check_levels(descent, n, k)
-    _check_dimension(module, n, dimension_cap)
     exponent = n + k
     ell = module.prime.value
     vals, dim, columns = _relation_columns(module, descent, n, exponent)
@@ -226,8 +223,10 @@ def quotient_group(
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> FiniteAbelianGroup:
     """Structure of the level-n tower quotient with exponent shift k."""
+    _check_levels(descent, n, k)
+    _check_dimension(module, n, dimension_cap)
     require_valid(module, descent)
-    vals = _quotient_valuations(module, descent, n, k, dimension_cap)
+    vals = _quotient_valuations(module, descent, n, k)
     return FiniteAbelianGroup(tuple(vals))
 
 
@@ -240,8 +239,10 @@ def order_valuation(
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> int:
     """x(n, k): the l-valuation of the order of the level-n quotient."""
+    _check_levels(descent, n, k)
+    _check_dimension(module, n, dimension_cap)
     require_valid(module, descent)
-    return sum(_quotient_valuations(module, descent, n, k, dimension_cap))
+    return sum(_quotient_valuations(module, descent, n, k))
 
 
 def order_sequence(
@@ -261,7 +262,6 @@ def order_sequence(
     """
     if n_min > n_max:
         raise ValueError(f"empty level range [{n_min}, {n_max}]")
-    require_valid(module, descent)
     level = 0
     if isinstance(descent, GenericDescent):
         level = descent.level
@@ -272,8 +272,9 @@ def order_sequence(
     # before any level: l^n outgrows the cap within its bit length past n_min
     _check_levels(descent, n_min, k)
     _check_dimension(module, min(n_max, n_min + dimension_cap.bit_length()), dimension_cap)
+    require_valid(module, descent)
     values = tuple(
-        sum(_quotient_valuations(module, descent, n, k, dimension_cap))
+        sum(_quotient_valuations(module, descent, n, k))
         for n in range(n_min, n_max + 1)
     )
     return OrderSequence(

@@ -5,6 +5,8 @@ rho*n*l^n + mu*l^n + lam*n + nu plus a controlled perturbation, so the
 expected fit is known without running any module code.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,3 +199,164 @@ class TestVerifyPrediction:
     def test_unbounded_fit_always_fails(self):
         rep = verify_prediction(self._pred(0, Grade.BOUNDED), self.UN_FIT)
         assert not rep.passed
+
+
+def _planted(rho, mu, lam, residual, prime=2, n_lo=1, n_hi=6, shift=0):
+    values = [
+        rho * (n + shift) * prime**n + mu * prime**n + lam * n + residual(n)
+        for n in range(n_lo, n_hi + 1)
+    ]
+    return _seq(values, prime=prime, n_min=n_lo, shift=shift)
+
+
+def _reference_search(seq, rho_range, mu_range):
+    """The grid search over the given pairs, with no clamp: a rational solve
+    through the last four entries, then the pair of least difference range,
+    its best lam_tilde and bound, and every triple whose spread meets it.
+
+    Returns ("strict", triple) or ("search", center, best_lam, bound,
+    ranked candidates as (rho, mu, lam_tilde, spread)).
+    """
+    ell, k = seq.prime, seq.shift
+    rows = [
+        [Fraction((n + k) * ell**n), Fraction(ell**n), Fraction(n), Fraction(1), Fraction(x)]
+        for n, x in seq.entries[-4:]
+    ]
+    for col in range(4):
+        src = next(i for i in range(col, 4) if rows[i][col])
+        rows[col], rows[src] = rows[src], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(4):
+            if i != col:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[col])]
+    rho, mu, lam, nu = (row[4] for row in rows)
+    if all(v.denominator == 1 for v in (rho, mu, lam, nu)) and rho >= 0 and mu >= 0:
+        return "strict", (int(rho), int(mu), int(lam))
+
+    def base(r, m):
+        return [x - (r * (n + k) + m) * ell**n for n, x in seq.entries]
+
+    def spread(b, t):
+        res = [v - t * n for v, (n, _) in zip(b, seq.entries)]
+        return max(res) - min(res)
+
+    ranges = {}
+    for r in rho_range:
+        for m in mu_range:
+            b = base(r, m)
+            d = [y - x for x, y in zip(b, b[1:])]
+            ranges[(r, m)] = (min(d), max(d))
+    center = min(ranges, key=lambda pr: (ranges[pr][1] - ranges[pr][0], pr))
+    lo, hi = ranges[center]
+    best_lam = min(range(lo, hi + 1), key=lambda t: (spread(base(*center), t), abs(t), t))
+    bound = default_spread_bound(best_lam, seq.level)
+    extension = bound // (seq.n_max - seq.n_min) + 2
+    found = []
+    for (r, m), (lo, hi) in ranges.items():
+        if hi - lo <= 2 * bound:
+            b = base(r, m)
+            for t in range(lo - extension, hi + extension + 1):
+                if spread(b, t) <= bound:
+                    found.append((spread(b, t), r, m, t))
+    return "search", center, best_lam, bound, [(r, m, t, s) for s, r, m, t in sorted(found)]
+
+
+RESIDUALS = {
+    "zero": lambda n: 0,
+    "n mod 2": lambda n: n % 2,
+    "n mod 3": lambda n: n % 3,
+    "3 - n mod 2": lambda n: 3 - n % 2,
+}
+
+
+def _residual_spread(seq, rho, mu, lam):
+    res = [
+        x - rho * (n + seq.shift) * seq.prime**n - mu * seq.prime**n - lam * n
+        for n, x in seq.entries
+    ]
+    return max(res) - min(res)
+
+
+class TestCompleteness:
+    """The fitter against an unclamped grid search over a box around the
+    planted triple: the box gives the same answer, and every candidate the
+    fitter lists outside the box genuinely qualifies."""
+
+    MARGIN = 6
+
+    @given(
+        prime=st.sampled_from([2, 3, 5]),
+        rho=st.integers(0, 100),
+        mu=st.integers(0, 100),
+        lam=st.integers(-40, 40),
+        residual=st.sampled_from(sorted(RESIDUALS)),
+        n_lo=st.integers(0, 3),
+        extra=st.integers(0, 3),
+        shift=st.integers(-2, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_unclamped_reference(
+        self, prime, rho, mu, lam, residual, n_lo, extra, shift
+    ):
+        # windows long enough that the qualifying set stays small
+        n_hi = max(n_lo + 4, {2: 6, 3: 4, 5: 3}[prime]) + extra
+        shift = max(shift, 1 - n_lo)
+        seq = _planted(rho, mu, lam, RESIDUALS[residual], prime, n_lo, n_hi, shift)
+        box_rho = range(max(rho - self.MARGIN, 0), rho + self.MARGIN + 1)
+        box_mu = range(max(mu - self.MARGIN, 0), mu + self.MARGIN + 1)
+        reference = _reference_search(seq, box_rho, box_mu)
+        try:
+            fit = fit_parameters(seq)
+        except AmbiguousFitError as exc:
+            kind, center, best_lam, bound, expected = reference
+            assert kind == "search"
+            inside = [c for c in exc.candidates if c[0] in box_rho and c[1] in box_mu]
+            assert inside == expected
+            for r, m, t, s in exc.candidates:
+                assert _residual_spread(seq, r, m, t) == s <= bound
+            return
+        p = fit.params
+        if reference[0] == "strict":
+            assert (p.rho, p.mu, p.lam_tilde) == reference[1]
+            assert p.grade is Grade.STRICT
+            return
+        _, center, best_lam, bound, expected = reference
+        assert fit.spread_bound == bound
+        if isinstance(fit.classification, Unbounded):
+            assert (p.rho, p.mu, p.lam_tilde) == (*center, best_lam)
+            assert expected == []
+        else:
+            assert [(p.rho, p.mu, p.lam_tilde, fit.spread)] == expected
+
+
+class TestLargeParameters:
+    """Triples far beyond small grids, as the model allows."""
+
+    @pytest.mark.parametrize(
+        "prime, rho, mu, lam, residual",
+        [(3, 300, 200, 5, "n mod 2"), (2, 150, 400, -30, "3 - n mod 2")],
+    )
+    def test_hundreds_are_recovered(self, prime, rho, mu, lam, residual):
+        seq = _planted(rho, mu, lam, RESIDUALS[residual], prime, 1, 8)
+        try:
+            fit = fit_parameters(seq)
+        except AmbiguousFitError as exc:
+            assert exc.candidates[0][:3] == (rho, mu, lam)
+        else:
+            assert (fit.params.rho, fit.params.mu, fit.params.lam_tilde) == (rho, mu, lam)
+
+    @pytest.mark.parametrize("rho", [70, 80])
+    def test_negative_lambda_long_window(self, rho):
+        # lam_tilde +/- 1 stay within the bound 2 * 9 * 2, so the ambiguity
+        # is the right answer; the planted triple ranks first
+        seq = _planted(rho, 0, -9, RESIDUALS["n mod 2"], 2, 1, 14)
+        with pytest.raises(AmbiguousFitError) as exc:
+            fit_parameters(seq)
+        assert exc.value.candidates[0] == (rho, 0, -9, 1)
+        assert {c[:3] for c in exc.value.candidates} >= {(rho, 0, -10), (rho, 0, -8)}
+
+    def test_short_window_lists_the_planted_triple(self):
+        seq = _planted(70, 0, 0, RESIDUALS["n mod 2"], 2, 1, 6)
+        with pytest.raises(AmbiguousFitError) as exc:
+            fit_parameters(seq)
+        assert (70, 0, 0) in {c[:3] for c in exc.value.candidates}

@@ -226,9 +226,9 @@ def test_import_leaves_numpy_out():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    probe = "import sys, towergrowth; print('numpy' in sys.modules)"
+    probe = "import sys, towergrowth; print([m in sys.modules for m in ('numpy', 'fractions')])"
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[False, False]"

@@ -29,6 +29,7 @@ from towergrowth import (
     parse_run,
     quotient_group,
 )
+from towergrowth import modules
 
 from conftest import build_generic_case
 
@@ -168,6 +169,23 @@ class TestCaps:
         assert kernel_shapes == []
         order_sequence(module, touched, 1, 5, dimension_cap=64)
         assert kernel_shapes
+
+    def test_caps_checked_before_validation(self, monkeypatch):
+        # validation builds tower_poly(l, e) with no cap of its own, so an
+        # over-cap window must stop before it
+        calls = []
+        validate = modules.validate_descent
+        monkeypatch.setattr(
+            modules, "validate_descent", lambda *args: calls.append(args) or validate(*args)
+        )
+        zero = GenericDescent(12, (ModuleElement((IntPoly((0,)),), ()),))
+        with pytest.raises(CapExceeded):
+            order_sequence(LAMBDA, zero, 13, 14)
+        with pytest.raises(CapExceeded):
+            order_valuation(LAMBDA, zero, 13)
+        with pytest.raises(CapExceeded):
+            quotient_group(LAMBDA, zero, 13)
+        assert calls == []
 
     def test_enumeration_element_cap(self):
         with pytest.raises(CapExceeded):
