@@ -209,8 +209,9 @@ def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     spec = _read_spec(args.file)
-    predicted = predict_parameters(spec.module, spec.descent)
+    # the sequence checks the cap and validates before the defect is ranked
     seq = _compute_sequence(spec, args.k, args.cap)
+    predicted = predict_parameters(spec.module, spec.descent)
     fit = fit_parameters(seq)
     report = verify_prediction(predicted, fit)
     if args.json:

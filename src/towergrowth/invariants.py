@@ -13,7 +13,8 @@ has bounded spread.
 
 The generic case subtracts a codescent defect from the distinguished-degree
 invariant: the rank over Q of the descent generators' free coordinates in
-E / tower_poly(l, e)·E, one elimination with ``span_invariants``.  For valid
+E / tower_poly(l, e)·E, read from the free blocks of the presentation that
+validation uses, one elimination with ``span_invariants``.  For valid
 data this equals the per-factor count of the paper, the sum over the
 irreducible factors c of tower_poly(l, e) of deg(c) times the rank over the
 field Q[x]/(c); ``codescent_defect`` says why.
@@ -32,7 +33,8 @@ from .modules import (
     ElementaryModule,
     GenericDescent,
     LPower,
-    _residue_vector,
+    _presentation,
+    _stack,
     classify_case,
 )
 
@@ -93,8 +95,8 @@ def codescent_defect(module: ElementaryModule, descent: DescentDatum) -> int:
     """Defect subtracted from the distinguished degree in the generic case.
 
     Zero for special and trivial descent data.  Otherwise the rank over Q of
-    the generators' free coordinates mod tower_poly(l, e), in the monomial
-    basis T^0..T^(l^e - 1) of each coordinate.
+    the generators' free coordinates mod tower_poly(l, e), the free blocks of
+    ``_presentation``.
 
     The data are assumed valid (``validate_descent``), and the rank is the
     defect only then: the span of valid generators mod tower_poly(l, e) is
@@ -108,9 +110,9 @@ def codescent_defect(module: ElementaryModule, descent: DescentDatum) -> int:
     if classify_case(module, descent) is not CaseTag.GENERIC:
         return 0
     assert isinstance(descent, GenericDescent)
-    free = module.free_rank * module.prime.value**descent.level
-    rows = [_residue_vector(module, g, descent.level)[:free] for g in descent.generators]
-    return span_invariants(rows, module.prime.value)[0]
+    blocks = _presentation(module, descent.generators, descent.level)
+    _, columns = _stack({i: b for i, b in blocks.items() if i < module.free_rank})
+    return span_invariants(columns, module.prime.value)[0]
 
 
 def defect_bound(module: ElementaryModule, descent: DescentDatum) -> int:

@@ -16,12 +16,17 @@ Y together with tower_poly(l, e)·E is stable under multiplication by T,
 equivalently when each T·y is an l-locally integral combination of the Y
 images inside E / tower_poly(l, e)·E.  ``validate_descent`` decides this
 exactly and produces a witness when it fails.
+
+Validation, the codescent defect and the level-n quotients all read one
+presentation of E / tower_poly(l, e)·E by integer blocks, ``_presentation``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+from collections.abc import Sequence
 
 from .linalg import span_invariants
 from .polynomials import (
@@ -194,37 +199,52 @@ def _check_shape(module: ElementaryModule, element: ModuleElement) -> None:
         )
 
 
-def _residue_vector(module: ElementaryModule, element: ModuleElement, level: int) -> list[int]:
-    """Coordinates of the element in E / tower_poly(l, e)·E.
+_Block = tuple[IntPoly, IntPoly | None, list[IntPoly]]
 
-    Basis: the monomials T^0..T^(l^e - 1) in each coordinate, free blocks
-    first.  Entries stay exact integers; no residue reduction beyond the
-    polynomial one.
+
+def _presentation(
+    module: ElementaryModule, elements: Sequence[ModuleElement], level: int
+) -> dict[int, _Block]:
+    """E / tower_poly(l, e)·E as blocks per coordinate, with the elements' parts.
+
+    A block (modulus, relation, parts) is Z[T]/(modulus), free on the powers
+    of T below deg(modulus), cut by the relation; parts are the elements'
+    polynomials there, reduced mod the modulus.  Lambda/(P) is Z[T]/(P) cut by
+    omega_e = tower_poly(l, e), deg P rows by Weierstrass preparation.  A free
+    or Lambda/(l^m) coordinate in which some element is nonzero is
+    Z[T]/(omega_e), cut by l^m (free: no relation); the others get no block.
     """
-    w = tower_poly(module.prime, level)
-    block = module.prime.value**level
-    vec: list[int] = []
-    for coord in element.coords:
-        r = coord % w
-        vec.extend(r.coeff(i) for i in range(block))
-    return vec
+    omega = tower_poly(module.prime, level)
+    factors = (None,) * module.free_rank + module.torsion_factors
+    blocks = {}
+    for idx, factor in enumerate(factors):
+        coords = [el.coords[idx] for el in elements]
+        if isinstance(factor, DistinguishedFactor):
+            modulus, relation = factor.poly, omega
+        elif any(not c.is_zero for c in coords):
+            modulus, relation = omega, None
+            if isinstance(factor, LPower):
+                relation = IntPoly((module.prime.value**factor.exponent,))
+        else:
+            continue
+        blocks[idx] = (modulus, relation, [c % modulus for c in coords])
+    return blocks
 
 
-def _quotient_relation_columns(module: ElementaryModule, level: int) -> list[list[int]]:
-    """Generators of the torsion-factor relations inside E / tower_poly·E."""
-    ell = module.prime.value
-    w = tower_poly(module.prime, level)
-    block = ell**level
-    dim = module.coordinate_count * block
-    columns: list[list[int]] = []
-    for idx, factor in enumerate(module.torsion_factors):
-        offset = (module.free_rank + idx) * block
-        ann = IntPoly((ell**factor.exponent,)) if isinstance(factor, LPower) else factor.poly
-        for part in multiplication_matrix(ann, w):
-            col = [0] * dim
-            col[offset : offset + block] = part
-            columns.append(col)
-    return columns
+def _stack(blocks: dict[int, _Block]) -> tuple[list[list[int]], list[list[int]]]:
+    """Relation columns T^j·relation mod modulus, then one column per element."""
+    sizes = [modulus.degree for modulus, _, _ in blocks.values()]
+    relations = [
+        [0] * sum(sizes[:i]) + part + [0] * sum(sizes[i + 1 :])
+        for i, (modulus, relation, _) in enumerate(blocks.values())
+        if relation is not None
+        for part in multiplication_matrix(relation, modulus)
+    ]
+    elements = [
+        [p.coeff(i) for (m, _, _), p in zip(blocks.values(), parts) for i in range(m.degree)]
+        for parts in zip(*(parts for _, _, parts in blocks.values()))
+    ]
+    return relations, elements
 
 
 def validate_descent(module: ElementaryModule, descent: DescentDatum) -> ValidationReport:
@@ -232,24 +252,32 @@ def validate_descent(module: ElementaryModule, descent: DescentDatum) -> Validat
 
     Special data and generator-free generic data are always valid.  For each
     generator y the image of T·y must lie in the l-local span of the Y images
-    inside E / tower_poly(l, e)·E.  All images are tested at once; only on
-    failure are they tested one by one against the span's invariants from
-    that comparison, and the first failing T·y is the witness.
+    and the torsion relations in ``_presentation``.  All images are tested at
+    once; only on failure are they tested one by one against the span's
+    invariants from that comparison, and the first failing T·y is the
+    witness.  Reports are memoised on the frozen arguments behind this plain
+    function, which tracing wrappers can still replace, so the quotient
+    functions validate once per (module, descent) pair.
     """
+    return _validate_descent(module, descent)
+
+
+@functools.lru_cache(maxsize=64)
+def _validate_descent(module: ElementaryModule, descent: DescentDatum) -> ValidationReport:
     if isinstance(descent, SpecialDescent):
         return ValidationReport(True, detail="special descent carries no generators")
-    for gen in descent.generators:
+    gens = descent.generators
+    for gen in gens:
         _check_shape(module, gen)
-    if not descent.generators:
+    if not gens:
         return ValidationReport(True, detail="no generators: trivial case")
-    level = descent.level
-    span = [_residue_vector(module, g, level) for g in descent.generators]
-    span += _quotient_relation_columns(module, level)
-    images = [_residue_vector(module, g.times_t(), level) for g in descent.generators]
+    blocks = _presentation(module, [*gens, *(g.times_t() for g in gens)], descent.level)
+    relations, columns = _stack(blocks)
+    span, images = columns[: len(gens)] + relations, columns[len(gens) :]
     ell = module.prime.value
     base = span_invariants(span, ell)
     if base != span_invariants(span + images, ell):
-        for idx, (gen, image) in enumerate(zip(descent.generators, images)):
+        for idx, (gen, image) in enumerate(zip(gens, images)):
             if span_invariants([*span, image], ell) != base:
                 return ValidationReport(
                     False,
@@ -257,10 +285,10 @@ def validate_descent(module: ElementaryModule, descent: DescentDatum) -> Validat
                     witness=canonicalize(module, gen.times_t()),
                     detail=(
                         f"T * generator {idx} is not an l-local combination of the "
-                        f"generators at level {level}"
+                        f"generators at level {descent.level}"
                     ),
                 )
-    return ValidationReport(True, detail=f"{len(descent.generators)} generators stable")
+    return ValidationReport(True, detail=f"{len(gens)} generators stable")
 
 
 def require_valid(module: ElementaryModule, descent: DescentDatum) -> None:

@@ -7,28 +7,23 @@ At level n with exponent shift k the quotient is
 where omega_n = tower_poly(l, n), nu = nu_{n,e} = omega_n / omega_e and Y is
 the span of the descent generators (generic case; the special case instead
 adds one full Z/l^N summand on top of the generator-free quotient).  The
-module is free over Z/l^N on a basis chosen per coordinate, and no block the
-kernel sees grows with n:
+kernel reads the generators' presentation at level e (level 0 without
+generators) from ``modules._presentation``, lifted to level n; no block grows
+with n:
 
-* a distinguished coordinate Lambda/(P) of degree d is (Z/l^N)[T]/(P), free
-  on T^0..T^(d-1) by Weierstrass preparation; its relations are the d
-  columns T^j * omega_n mod P, and a generator's entry is nu * g mod P, with
-  omega_n and nu taken mod (P, l^N) by ``tower_residues``;
-* a free or l-power coordinate (Z/l^N)[T]/(omega_n), cut by l^m for
-  Lambda/(l^m), is Z/l^N[Gamma_n].  Multiplication by nu maps
-  (Z/l^N)[T]/(omega_e) onto its Gal(K_n/K_e)-invariants, a direct summand of
-  rank l^e that holds every generator part nu * g.  If some generator
-  touches the coordinate (has a nonzero polynomial in it), those l^e rows go
-  to the kernel with modulus omega_e, entries g mod omega_e and, for
-  Lambda/(l^m), the columns l^m * T^a; the other l^n - l^e rows split off
-  in closed form, as factors of order l^N (free) or l^min(m, N).  An
-  untouched coordinate splits off whole, l^n such factors.
+* a distinguished block Z[T]/(P) takes the relation omega_n and the parts
+  nu * g, both mod (P, l^N) by ``tower_residues``;
+* a free or l-power block Z[T]/(omega_e) stays as it is: multiplication by
+  nu maps (Z/l^N)[T]/(omega_e) onto the Gal(K_n/K_e)-invariants of
+  Z/l^N[Gamma_n], a direct summand of rank l^e that holds every part nu * g.
+  The coordinate's other l^n - l^e rows split off in closed form, as factors
+  of order l^N (free) or l^min(m, N) (Lambda/(l^m)); a coordinate without
+  a block splits off whole, l^n such factors.
 
 Each Y generator gives one column (Y is not T-stable as a set, so
 generators get no shifts), and the l^N columns are folded into the
-elimination kernel.  Only tower_poly(l, e) is built as a polynomial.
-``dimension_cap`` counts the full ambient, coordinate_count * l^n, not the
-rows the kernel sees.
+elimination kernel.  ``dimension_cap`` counts the full ambient,
+coordinate_count * l^n, not the rows the kernel sees.
 
 ``enumeration_oracle`` recomputes the same order by literal subgroup closure
 in the full finite ambient module, l^n monomials in every coordinate, from
@@ -48,12 +43,12 @@ from .modules import (
     GenericDescent,
     LPower,
     SpecialDescent,
+    _presentation,
+    _stack,
     require_valid,
 )
 from .polynomials import (
-    ONE,
     IntPoly,
-    multiplication_matrix,
     poly_mod_reduce,
     tower_poly,
     tower_ratio,
@@ -147,52 +142,23 @@ def _relation_columns(
     ell = module.prime.value
     q = ell**exponent
     gens = descent.generators if isinstance(descent, GenericDescent) else ()
-    e = descent.level if gens else n
+    e = descent.level if gens else 0
+    blocks = _presentation(module, gens, e)
     factors = (None,) * module.free_rank + module.torsion_factors
     split: list[int] = []
-    moduli: dict[int, IntPoly] = {}  # coordinate -> modulus of its kernel block
-    relations: dict[int, IntPoly] = {}  # coordinate -> relation it multiplies by
-    ratios: dict[int, IntPoly] = {}  # coordinate -> multiplier of generator parts
-    offsets: dict[int, int] = {}
-    dim = 0
     for idx, factor in enumerate(factors):
         if isinstance(factor, DistinguishedFactor):
-            moduli[idx] = factor.poly
-            relations[idx], ratios[idx] = tower_residues(module.prime, n, e, factor.poly, q)
+            # with no generators nu is unused, and level n skips its product
+            omega, nu = tower_residues(module.prime, n, e if gens else n, factor.poly, q)
+            parts = [poly_mod_reduce(nu * part, factor.poly, q) for part in blocks[idx][2]]
+            blocks[idx] = (factor.poly, omega, parts)
         else:
-            # generator parts lie in the rank-l^e summand nu * (Z/l^N)[T]/(omega_e)
-            # (module docstring); the other rows split off
-            touched = any(not g.coords[idx].is_zero for g in gens)
+            # a block is the rank-l^e summand (module docstring); the rest splits off
             cut = exponent if factor is None else min(factor.exponent, exponent)
-            split += [cut] * (ell**n - (ell**e if touched else 0))
-            if not touched:
-                continue
-            moduli[idx] = tower_poly(module.prime, e)
-            ratios[idx] = ONE
-            if isinstance(factor, LPower):
-                relations[idx] = IntPoly((ell**factor.exponent % q,))
-        offsets[idx] = dim
-        dim += moduli[idx].degree
-    columns: list[list[int]] = []
-
-    def add_column(parts: dict[int, list[int]]) -> None:
-        if any(any(part) for part in parts.values()):
-            col = [0] * dim
-            for idx, part in parts.items():
-                col[offsets[idx] : offsets[idx] + len(part)] = part
-            columns.append(col)
-
-    for idx, rel in relations.items():
-        for part in multiplication_matrix(rel, moduli[idx]):
-            add_column({idx: [x % q for x in part]})
-
-    for gen in gens:
-        parts = {}
-        for idx, modulus in moduli.items():
-            r = poly_mod_reduce(ratios[idx] * gen.coords[idx].reduce_coeffs(q), modulus, q)
-            parts[idx] = [r.coeff(i) for i in range(modulus.degree)]
-        add_column(parts)
-    return split, dim, columns
+            split += [cut] * (ell**n - (ell**e if idx in blocks else 0))
+    relations, elements = _stack(blocks)
+    columns = [col for col in ([x % q for x in c] for c in relations + elements) if any(col)]
+    return split, sum(modulus.degree for modulus, _, _ in blocks.values()), columns
 
 
 def _quotient_valuations(
@@ -269,9 +235,11 @@ def order_sequence(
             raise ValueError(
                 f"sequences for generic data start at n >= e+1 = {level + 1}"
             )
-    # before any level: l^n outgrows the cap within its bit length past n_min
+    # before any level, in ascending order so the first level over the cap is
+    # named: l^n outgrows the cap within its bit length past n_min
     _check_levels(descent, n_min, k)
-    _check_dimension(module, min(n_max, n_min + dimension_cap.bit_length()), dimension_cap)
+    for n in range(n_min, min(n_max, n_min + dimension_cap.bit_length()) + 1):
+        _check_dimension(module, n, dimension_cap)
     require_valid(module, descent)
     values = tuple(
         sum(_quotient_valuations(module, descent, n, k))

@@ -28,6 +28,8 @@ from towergrowth import (
     LPower,
     ModuleElement,
     cyclotomic_factors,
+    linalg,
+    modules,
     monomial,
     quotients,
     tower_poly,
@@ -184,4 +186,21 @@ def kernel_shapes(monkeypatch) -> list[tuple[int, int]]:
         return kernel(rows, *args)
 
     monkeypatch.setattr(quotients, "divisor_valuations", recording)
+    return shapes
+
+
+@pytest.fixture
+def span_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """(rows, columns) of every matrix ``span_invariants`` hands to the
+    elimination kernel, in call order.  Validation reports are memoised, so
+    the memo is cleared first and every validation runs its spans."""
+    shapes: list[tuple[int, int]] = []
+    kernel = linalg.divisor_valuations
+
+    def recording(rows, *args):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return kernel(rows, *args)
+
+    monkeypatch.setattr(linalg, "divisor_valuations", recording)
+    modules._validate_descent.cache_clear()
     return shapes

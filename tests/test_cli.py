@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from towergrowth import order_valuation, parse_run
+from towergrowth import invariants, order_valuation, parse_run
 from towergrowth.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,6 +125,31 @@ class TestExitCodes:
         code, _, err = run("invariants", str(f))
         assert code == 2
         assert "error:" in err
+
+    def test_verify_checks_the_cap_before_the_defect(self, tmp_path, monkeypatch):
+        # the defect builds tower_poly(l, e) and ranks, so an over-cap window
+        # must stop before predict_parameters reaches it
+        calls = []
+        defect = invariants.codescent_defect
+        monkeypatch.setattr(
+            invariants, "codescent_defect", lambda *args: calls.append(args) or defect(*args)
+        )
+        f = tmp_path / "over_cap.run"
+        f.write_text(
+            "[prime]\nl = 2\n[module]\nfree_rank = 1\n"
+            "[descent]\nkind = generic\ne = 3\ngenerator = [[0]]\n"
+            "[run]\nn_min = 4\nn_max = 20\nk = 0\n"
+        )
+        code, _, err = run("verify", str(f), "--cap", "64")
+        assert code == 3
+        assert calls == []
+        assert "at level n=7" in err
+        # invalid data in an allowed window still exit 2 from validation
+        f.write_text(f.read_text().replace("[[0]]", "[[1]]").replace("n_max = 20", "n_max = 8"))
+        code, _, err = run("verify", str(f))
+        assert code == 2
+        assert "invalid descent datum: T * generator 0" in err
+        assert calls == []
 
     def test_usage_error_is_two(self):
         code, _, _ = run("orders")

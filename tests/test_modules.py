@@ -2,7 +2,9 @@
 
 The validation oracles were worked out by hand in the level-e quotient: a
 generator set is stable exactly when each T-image lands in the l-local span
-of the generators and the torsion relations there.
+of the generators and the torsion relations there.  ``_first_unstable``
+restates that definition in the monomial basis, l^e rows per coordinate,
+apart from the engine's per-coordinate blocks.
 """
 
 import random
@@ -26,13 +28,8 @@ from towergrowth import (
     zero_element,
 )
 from towergrowth.linalg import in_local_span
-from towergrowth.modules import (
-    _quotient_relation_columns,
-    _residue_vector,
-    canonicalize,
-    require_valid,
-)
-from towergrowth.polynomials import T, ZERO
+from towergrowth.modules import canonicalize, require_valid
+from towergrowth.polynomials import T, ZERO, monomial
 
 from conftest import build_generic_case
 
@@ -50,12 +47,38 @@ def _pair_gen(a, b):
     return ModuleElement(free_coords=(IntPoly(tuple(a)), IntPoly(tuple(b))), torsion_coords=())
 
 
+def _residue_vector(module, element, level):
+    """Coordinates of the element in E / tower_poly(l, e)·E: the monomials
+    T^0..T^(l^e - 1) in every coordinate, free coordinates first."""
+    w = tower_poly(module.prime, level)
+    block = module.prime.value**level
+    return [(coord % w).coeff(i) for coord in element.coords for i in range(block)]
+
+
+def _torsion_relation_columns(module, level):
+    """The columns T^j·ann mod tower_poly(l, e), j < l^e, of each torsion
+    factor's annihilator ann, in the same monomial basis."""
+    ell = module.prime.value
+    w = tower_poly(module.prime, level)
+    block = ell**level
+    columns = []
+    for idx, factor in enumerate(module.torsion_factors):
+        ann = IntPoly((ell**factor.exponent,)) if isinstance(factor, LPower) else factor.poly
+        offset = (module.free_rank + idx) * block
+        for j in range(block):
+            part = (monomial(j) * ann) % w
+            col = [0] * (module.coordinate_count * block)
+            col[offset : offset + block] = [part.coeff(i) for i in range(block)]
+            columns.append(col)
+    return columns
+
+
 def _first_unstable(module, descent):
     """The per-generator definition: the first y whose T*y leaves the l-local
     span of the generators and the torsion relations at level e."""
     level = descent.level
     span = [_residue_vector(module, g, level) for g in descent.generators]
-    span += _quotient_relation_columns(module, level)
+    span += _torsion_relation_columns(module, level)
     for idx, gen in enumerate(descent.generators):
         image = _residue_vector(module, gen.times_t(), level)
         if not in_local_span(span, image, module.prime.value):
@@ -211,6 +234,24 @@ class TestValidation:
         gens = (((0, 1), ()), ((1,), ()), ((1,), (1,)), ((), (1,)), ((), (0, 1)))
         d = GenericDescent(1, tuple(_pair_gen(a, b) for a, b in gens))
         assert validate_descent(RANK_TWO, d).valid
+
+    def test_presentation_rows(self, span_shapes):
+        # Lambda + Lambda/(2) + Lambda/(T^2+2) at l=2, e=3, the free
+        # coordinate spanned: 8 rows for the touched free coordinate, 2 for
+        # the distinguished one, none for the untouched Lambda/(2)
+        module = ElementaryModule(
+            prime=2,
+            free_rank=1,
+            torsion_factors=(LPower(1), DistinguishedFactor(IntPoly((2, 0, 1)))),
+        )
+        gens = tuple(
+            ModuleElement((monomial(j),), (ZERO, ZERO)) for j in range(8)
+        )
+        descent = GenericDescent(3, gens)
+        assert validate_descent(module, descent).valid
+        assert span_shapes == [(10, 10), (10, 18)]
+        assert codescent_defect(module, descent) == 8
+        assert span_shapes[2:] == [(8, 8)]
 
     def test_shape_mismatch_raises(self):
         bad = ModuleElement(free_coords=(T, T), torsion_coords=())

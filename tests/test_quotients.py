@@ -164,7 +164,7 @@ class TestCaps:
         touched = GenericDescent(0, (ModuleElement((IntPoly((1,)),), (IntPoly(),)),))
         with pytest.raises(CapExceeded, match="at level n=6"):
             order_sequence(module, touched, 1, 6, dimension_cap=64)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="at level n=6"):
             order_sequence(module, touched, 1, 10**12, dimension_cap=64)
         assert kernel_shapes == []
         order_sequence(module, touched, 1, 5, dimension_cap=64)
@@ -185,6 +185,28 @@ class TestCaps:
             order_valuation(LAMBDA, zero, 13)
         with pytest.raises(CapExceeded):
             quotient_group(LAMBDA, zero, 13)
+        assert calls == []
+
+    def test_validation_runs_once_per_datum(self, monkeypatch):
+        # an equal datum built separately reuses the memoised report
+        calls = []
+        span = modules.span_invariants
+        monkeypatch.setattr(
+            modules, "span_invariants", lambda *args: calls.append(args) or span(*args)
+        )
+        modules._validate_descent.cache_clear()
+
+        def datum():
+            gens = tuple(
+                ModuleElement((IntPoly((0,) * j + (1,)),), (IntPoly(),)) for j in (1, 2, 3)
+            )
+            return _mod(LPower(1), free_rank=1), GenericDescent(2, gens)
+
+        first = order_valuation(*datum(), 4)
+        assert calls
+        calls.clear()
+        assert order_valuation(*datum(), 4) == first
+        assert quotient_group(*datum(), 3).order_valuation
         assert calls == []
 
     def test_enumeration_element_cap(self):
