@@ -251,6 +251,16 @@ def _cmd_scenario(args: argparse.Namespace, out: TextIO) -> int:
         k=shift,
         dimension_cap=args.cap,
     )
+    # after the sequence, which checks the cap and validates before any defect
+    predicted = predict_parameters(scenario.module, scenario.descent)
+    if not (
+        predicted.same_triple(scenario.expected)
+        and predicted.grade is scenario.expected.grade
+    ):
+        raise ValueError(
+            f"scenario {scenario.name!r} expectation {scenario.expected} disagrees "
+            f"with the predicted parameters {predicted}"
+        )
     fit = fit_parameters(seq)
     report = verify_prediction(scenario.expected, fit)
     if args.json:

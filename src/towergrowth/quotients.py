@@ -22,8 +22,11 @@ with n:
 
 Each Y generator gives one column (Y is not T-stable as a set, so
 generators get no shifts), and the l^N columns are folded into the
-elimination kernel.  ``dimension_cap`` counts the full ambient,
-coordinate_count * l^n, not the rows the kernel sees.
+elimination kernel.  A quotient is a count {valuation: multiplicity}, the
+split-off part two numbers per coordinate, and the presentation is built
+once for a window of levels.  ``dimension_cap`` counts the full ambient,
+coordinate_count * l^n, not the rows the kernel sees; it also bounds the
+factors ``quotient_group`` lists.
 
 ``enumeration_oracle`` recomputes the same order by literal subgroup closure
 in the full finite ambient module, l^n monomials in every coordinate, from
@@ -34,6 +37,8 @@ the engine.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from collections.abc import Iterator
 
 from .linalg import divisor_valuations, ell_valuation
 from .modules import (
@@ -126,58 +131,63 @@ def _check_levels(descent: DescentDatum, n: int, k: int) -> None:
         raise ValueError(f"level n={n} is below the descent level e={descent.level}")
 
 
-def _check_dimension(module: ElementaryModule, n: int, dimension_cap: int) -> None:
-    dim = module.coordinate_count * module.prime.value**n
-    if dim > dimension_cap:
-        raise CapExceeded(
-            f"ambient dimension {dim} exceeds the cap {dimension_cap} at level n={n}"
-        )
+def _first_level_over(ell: int, count: int, cap: int) -> int | None:
+    """Least m >= 0 with count * l^m > cap (None if there is none), found by
+    multiplying up to the cap: no larger power of l is built."""
+    m, size = 0, count
+    while size <= cap:
+        if size <= 0:
+            return None
+        m, size = m + 1, size * ell
+    return m
 
 
-def _relation_columns(
-    module: ElementaryModule, descent: DescentDatum, n: int, exponent: int
-) -> tuple[list[int], int, list[list[int]]]:
-    """Valuations split off in closed form, then the dimension and relation
-    columns mod l^exponent of the coordinates left to the kernel."""
-    ell = module.prime.value
-    q = ell**exponent
+def _quotients(
+    module: ElementaryModule, descent: DescentDatum, n_min: int, n_max: int, k: int, cap: int
+) -> Iterator[Counter[int]]:
+    """{valuation: multiplicity} of the level-n quotient for n_min <= n <= n_max.
+
+    The levels, the cap at the first level over it and the datum are checked
+    before any arithmetic, and the presentation is built once for all levels.
+    """
+    _check_levels(descent, n_min, k)
+    ell, count = module.prime.value, module.coordinate_count
+    over = _first_level_over(ell, count, cap)
+    if over is not None and over <= n_max:
+        n = max(over, n_min)
+        # past the first level over the cap, l^n may be too large to build
+        dim = count * ell**n if n == over else f"{count}*{ell}^{n}"
+        raise CapExceeded(f"ambient dimension {dim} exceeds the cap {cap} at level n={n}")
+    require_valid(module, descent)
     gens = descent.generators if isinstance(descent, GenericDescent) else ()
     e = descent.level if gens else 0
     blocks = _presentation(module, gens, e)
     factors = (None,) * module.free_rank + module.torsion_factors
-    split: list[int] = []
-    for idx, factor in enumerate(factors):
-        if isinstance(factor, DistinguishedFactor):
-            # with no generators nu is unused, and level n skips its product
-            omega, nu = tower_residues(module.prime, n, e if gens else n, factor.poly, q)
-            parts = [poly_mod_reduce(nu * part, factor.poly, q) for part in blocks[idx][2]]
-            blocks[idx] = (factor.poly, omega, parts)
+    for n in range(n_min, n_max + 1):
+        exponent = n + k
+        q = ell**exponent
+        counts: Counter[int] = Counter()
+        lifted = dict(blocks)
+        for idx, factor in enumerate(factors):
+            if isinstance(factor, DistinguishedFactor):
+                # with no generators nu is unused, and level n skips its product
+                omega, nu = tower_residues(module.prime, n, e if gens else n, factor.poly, q)
+                parts = [poly_mod_reduce(nu * part, factor.poly, q) for part in blocks[idx][2]]
+                lifted[idx] = (factor.poly, omega, parts)
+            else:
+                # a block is the rank-l^e summand (module docstring); the rest splits off
+                cut = exponent if factor is None else min(factor.exponent, exponent)
+                counts[cut] += ell**n - (ell**e if idx in blocks else 0)
+        relations, elements = _stack(lifted)
+        columns = [col for col in ([x % q for x in c] for c in relations + elements) if any(col)]
+        if columns:
+            counts.update(divisor_valuations(list(zip(*columns)), ell, exponent))
         else:
-            # a block is the rank-l^e summand (module docstring); the rest splits off
-            cut = exponent if factor is None else min(factor.exponent, exponent)
-            split += [cut] * (ell**n - (ell**e if idx in blocks else 0))
-    relations, elements = _stack(blocks)
-    columns = [col for col in ([x % q for x in c] for c in relations + elements) if any(col)]
-    return split, sum(modulus.degree for modulus, _, _ in blocks.values()), columns
-
-
-def _quotient_valuations(
-    module: ElementaryModule,
-    descent: DescentDatum,
-    n: int,
-    k: int,
-) -> list[int]:
-    exponent = n + k
-    ell = module.prime.value
-    vals, dim, columns = _relation_columns(module, descent, n, exponent)
-    if columns:
-        rows = [[col[i] for col in columns] for i in range(dim)]
-        vals += divisor_valuations(rows, ell, exponent)
-    else:
-        vals += [exponent] * dim
-    if isinstance(descent, SpecialDescent):
-        vals.append(exponent)
-    return [v for v in vals if v > 0]
+            counts[exponent] += sum(modulus.degree for modulus, _, _ in lifted.values())
+        if isinstance(descent, SpecialDescent):
+            counts[exponent] += 1
+        del counts[0]  # unit divisors
+        yield +counts
 
 
 def quotient_group(
@@ -189,11 +199,8 @@ def quotient_group(
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> FiniteAbelianGroup:
     """Structure of the level-n tower quotient with exponent shift k."""
-    _check_levels(descent, n, k)
-    _check_dimension(module, n, dimension_cap)
-    require_valid(module, descent)
-    vals = _quotient_valuations(module, descent, n, k)
-    return FiniteAbelianGroup(tuple(vals))
+    [counts] = _quotients(module, descent, n, n, k, dimension_cap)
+    return FiniteAbelianGroup(tuple(counts.elements()))
 
 
 def order_valuation(
@@ -205,10 +212,8 @@ def order_valuation(
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> int:
     """x(n, k): the l-valuation of the order of the level-n quotient."""
-    _check_levels(descent, n, k)
-    _check_dimension(module, n, dimension_cap)
-    require_valid(module, descent)
-    return sum(_quotient_valuations(module, descent, n, k))
+    [counts] = _quotients(module, descent, n, n, k, dimension_cap)
+    return sum(v * m for v, m in counts.items())
 
 
 def order_sequence(
@@ -228,22 +233,12 @@ def order_sequence(
     """
     if n_min > n_max:
         raise ValueError(f"empty level range [{n_min}, {n_max}]")
-    level = 0
-    if isinstance(descent, GenericDescent):
-        level = descent.level
-        if descent.generators and n_min <= level:
-            raise ValueError(
-                f"sequences for generic data start at n >= e+1 = {level + 1}"
-            )
-    # before any level, in ascending order so the first level over the cap is
-    # named: l^n outgrows the cap within its bit length past n_min
-    _check_levels(descent, n_min, k)
-    for n in range(n_min, min(n_max, n_min + dimension_cap.bit_length()) + 1):
-        _check_dimension(module, n, dimension_cap)
-    require_valid(module, descent)
+    level = descent.level if isinstance(descent, GenericDescent) else 0
+    if isinstance(descent, GenericDescent) and descent.generators and n_min <= level:
+        raise ValueError(f"sequences for generic data start at n >= e+1 = {level + 1}")
     values = tuple(
-        sum(_quotient_valuations(module, descent, n, k))
-        for n in range(n_min, n_max + 1)
+        sum(v * m for v, m in counts.items())
+        for counts in _quotients(module, descent, n_min, n_max, k, dimension_cap)
     )
     return OrderSequence(
         prime=module.prime.value, shift=k, level=level, n_min=n_min, values=values
@@ -270,14 +265,18 @@ def enumeration_oracle(
     _check_levels(descent, n, k)
     exponent = n + k
     ell = module.prime.value
+    # l^(dim * N) elements exceed the cap iff dim * N >= least, l^least > cap
+    least = _first_level_over(ell, 1, element_cap)
+    over = _first_level_over(ell, module.coordinate_count * exponent, least - 1)
+    if over is not None and over <= n:
+        raise CapExceeded(
+            f"ambient module has l^({module.coordinate_count}*{ell}^{n}*{exponent}) "
+            f"elements, cap is {element_cap}"
+        )
     block = ell**n
     dim = module.coordinate_count * block
     q = ell**exponent
     ambient = q**dim
-    if ambient > element_cap:
-        raise CapExceeded(
-            f"ambient module has l^{dim * exponent} elements, cap is {element_cap}"
-        )
 
     w = tower_poly(module.prime, n).reduce_coeffs(q)
     w_low = [w.coeff(i) for i in range(block)]  # T^block = -(low part) mod w

@@ -7,11 +7,12 @@ so they pin both the math and the output format.
 
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from towergrowth import invariants, order_valuation, parse_run
+from towergrowth import invariants, modules, order_valuation, parse_run
 from towergrowth.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -149,6 +150,34 @@ class TestExitCodes:
         code, _, err = run("verify", str(f))
         assert code == 2
         assert "invalid descent datum: T * generator 0" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("ell,level", [(2, 20000), (3, 10**8)])
+    def test_cap_at_a_huge_level_builds_no_power(self, tmp_path, ell, level):
+        # l^n would overflow integer printing (l=2) or not finish (l=3)
+        f = tmp_path / "huge.run"
+        f.write_text(
+            f"[prime]\nl = {ell}\n[module]\nfree_rank = 1\n[descent]\nkind = special\n"
+            f"[run]\nn_min = {level}\nn_max = {level}\nk = 0\n"
+        )
+        start = time.perf_counter()
+        code, _, err = run("orders", str(f))
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert f"at level n={level}" in err
+
+    @pytest.mark.parametrize("name", ["prop14:e=10", "prop15:l=61,e=1", "prop15:l=101,e=1"])
+    def test_scenario_checks_the_cap_before_validation(self, monkeypatch, name):
+        # building a scenario checks nothing; the window is over the cap
+        calls = []
+        for module, attr in ((modules, "validate_descent"), (invariants, "codescent_defect")):
+            original = getattr(module, attr)
+            monkeypatch.setattr(
+                module, attr, lambda *args, f=original: calls.append(args) or f(*args)
+            )
+        code, _, err = run("scenario", name)
+        assert code == 3
+        assert "exceeds the cap" in err
         assert calls == []
 
     def test_usage_error_is_two(self):

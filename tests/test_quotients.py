@@ -6,6 +6,8 @@ matrix to diagonal form on paper. Small cases only, so this is tractable.
 """
 
 import random
+import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from towergrowth import (
     parse_run,
     quotient_group,
 )
-from towergrowth import modules
+from towergrowth import modules, quotients
 
 from conftest import build_generic_case
 
@@ -213,6 +215,23 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             enumeration_oracle(LAMBDA, TRIVIAL, 5, element_cap=2**10)
 
+    def test_enumeration_cap_decided_from_the_exponent(self):
+        # l^(dim * N) itself would have 2^40 * 40 bits
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            enumeration_oracle(LAMBDA, TRIVIAL, 40)
+        assert time.perf_counter() - start < 0.1
+
+    def test_presentation_built_once_per_window(self, monkeypatch):
+        calls = []
+        presentation = quotients._presentation
+        monkeypatch.setattr(
+            quotients, "_presentation", lambda *args: calls.append(args) or presentation(*args)
+        )
+        run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
+        order_sequence(run.module, run.descent, 1, 4)
+        assert len(calls) == 1
+
 
 class TestEnumerationAgreement:
     """Brute-force subgroup enumeration against the diagonalization path."""
@@ -367,7 +386,7 @@ class TestLevelIndependentKernel:
     """The kernel sees l^e rows per touched free or l-power coordinate and
     deg P rows per distinguished one, at every level n."""
 
-    UNCAPPED = 10**9
+    UNCAPPED = 10**100
 
     def test_mixed_run_kernel_has_three_rows_at_every_level(self, kernel_shapes):
         # free, Lambda/(4) and Lambda/(T + 2), all touched at e = 0: 1 + 1 + 1 rows
@@ -380,7 +399,7 @@ class TestLevelIndependentKernel:
         order_sequence(scenario.module, scenario.descent, 3, 11, dimension_cap=self.UNCAPPED)
         assert [rows for rows, _ in kernel_shapes] == [2**2] * 9
 
-    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("n", [9, 10, 100, 200])
     def test_mixed_run_closed_form_at_high_levels(self, n):
         run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
         x = order_valuation(run.module, run.descent, n, dimension_cap=self.UNCAPPED)
@@ -390,6 +409,24 @@ class TestLevelIndependentKernel:
         run = parse_run((GOLDEN / "special.run").read_text(encoding="utf-8"))
         x = order_valuation(run.module, run.descent, 14, dimension_cap=self.UNCAPPED)
         assert x == 14 * 2**14 + 2**14 + 2 * 14 == 245788
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_special_run_split_off_part_is_counted(self, n):
+        # the l^n split-off factors are counted, never listed
+        run = parse_run((GOLDEN / "special.run").read_text(encoding="utf-8"))
+        tracemalloc.start()
+        try:
+            x = order_valuation(run.module, run.descent, n, dimension_cap=self.UNCAPPED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x == n * 2**n + 2**n + 2 * n
+        assert peak < 2**20
+
+    def test_mixed_run_sequence_at_levels_in_the_hundreds(self):
+        run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
+        seq = order_sequence(run.module, run.descent, 195, 200, dimension_cap=self.UNCAPPED)
+        assert seq.values == tuple(n * 2**n + 2 * 2**n for n in range(195, 201))
 
     def test_touched_l_power_draw_frozen_values(self):
         # l = 5, e = 1: two free and two Lambda/(5) coordinates, all touched;

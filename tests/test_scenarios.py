@@ -1,13 +1,13 @@
 """Built-in scenarios and the two-sided consistency identities."""
 
 import dataclasses
+import io
 
 import pytest
 
 from towergrowth import (
     Grade,
     ParamTriple,
-    Scenario,
     builtin_scenario,
     default_level_range,
     full_span_scenario,
@@ -17,6 +17,8 @@ from towergrowth import (
     order_sequence,
     replicated_full_span_scenario,
 )
+from towergrowth import cli
+from towergrowth.cli import run_command
 from towergrowth.scenarios import MirrorSide
 
 
@@ -100,19 +102,16 @@ class TestDefaultLevelRange:
 
 
 class TestScenarioConsistency:
-    def test_expected_must_match_prediction(self):
+    def test_expected_must_match_prediction(self, monkeypatch):
+        # the scenario command checks the expectation after the sequence
         good = full_span_scenario(0)
         bad_expected = ParamTriple(rho=1, mu=0, lam_tilde=0, grade=Grade.BOUNDED)
-        with pytest.raises(ValueError):
-            Scenario(
-                name=good.name,
-                description=good.description,
-                module=good.module,
-                descent=good.descent,
-                expected=bad_expected,
-                n_min=good.n_min,
-                n_max=good.n_max,
-            )
+        bad = dataclasses.replace(good, expected=bad_expected)
+        monkeypatch.setattr(cli, "builtin_scenario", lambda name: bad)
+        out, err = io.StringIO(), io.StringIO()
+        assert run_command(["scenario", good.name], out, err) == 2
+        assert "disagrees with the predicted parameters" in err.getvalue()
+        assert out.getvalue() == ""
 
 
 def _perturb(side: MirrorSide, **changes) -> MirrorSide:
