@@ -238,7 +238,7 @@ def _stack(blocks: dict[int, _Block]) -> tuple[list[list[int]], list[list[int]]]
         [0] * sum(sizes[:i]) + part + [0] * sum(sizes[i + 1 :])
         for i, (modulus, relation, _) in enumerate(blocks.values())
         if relation is not None
-        for part in multiplication_matrix(relation, modulus)
+        for part in multiplication_matrix(relation.coeffs, modulus)
     ]
     elements = [
         [p.coeff(i) for (m, _, _), p in zip(blocks.values(), parts) for i in range(m.degree)]

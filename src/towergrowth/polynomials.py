@@ -11,6 +11,12 @@ computed coefficient by coefficient from the binomial recurrence
 C(m, i+1) = C(m, i)·(m - i)/(i + 1) with m = l^n, each step an exact integer
 division.  Ratios of tower polynomials and their irreducible factors (T and
 the level ratios) are what every quotient construction downstream reduces by.
+
+Arithmetic in Z[T]/(c) for a monic c, optionally mod an integer q, has one
+primitive: ``multiplication_matrix``, built by the companion action of T.
+It reduces a polynomial mod c, gives the relation columns of the quotient
+presentations, and is every product in ``tower_residues``, which reaches
+nu_{n,e} mod (c, q) without the l^n coefficients of the exact ratio.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
+from collections.abc import Sequence
 
 
 def _is_prime(n: int) -> bool:
@@ -308,93 +316,67 @@ def cyclotomic_factors(ell: Prime | int, e: int) -> tuple[IntPoly, ...]:
     return (T,) + tuple(tower_ratio(ell, i, i - 1) for i in range(1, e + 1))
 
 
-def poly_mod_reduce(p: IntPoly, modulus_poly: IntPoly, modulus_int: int) -> IntPoly:
-    """Canonical representative of p modulo (modulus_poly, modulus_int).
-
-    modulus_poly must be monic.  The result has degree < deg(modulus_poly)
-    and coefficients in [0, modulus_int); the map is idempotent and constant
-    on residue classes.
-
-    >>> str(poly_mod_reduce(IntPoly((0, 0, 1)), IntPoly((0, 2, 1)), 4))
-    '2*T'
-    """
-    if not modulus_poly.is_monic:
-        raise ValueError("polynomial modulus must be monic")
-    if modulus_int < 2:
-        raise ValueError("integer modulus must be at least 2")
-    dd = modulus_poly.degree
-    rem = [a % modulus_int for a in p.coeffs]
-    for top in range(len(rem) - 1, dd - 1, -1):
-        lead = rem[top]
-        if lead == 0:
-            continue
-        # modulus_poly is monic, so subtracting lead * T^(top-dd) * modulus_poly
-        # zeroes the top coefficient exactly; lower ones re-reduce mod the int.
-        for i, b in enumerate(modulus_poly.coeffs):
-            rem[top - dd + i] = (rem[top - dd + i] - lead * b) % modulus_int
-        rem[top] = 0
-    return IntPoly(tuple(rem[:dd]))
-
-
 def tower_residues(
     ell: Prime | int, n: int, e: int, modulus_poly: IntPoly, modulus_int: int
-) -> tuple[IntPoly, IntPoly]:
-    """tower_poly(l, n) and tower_ratio(l, n, e) modulo (modulus_poly, modulus_int).
+) -> list[int]:
+    """tower_ratio(l, n, e) = nu_{n,e} modulo (modulus_poly, modulus_int).
 
-    Both come from u_i = (1 + T)^(l^i), raised to the l-th power level by
-    level in (Z/modulus_int)[T]/(modulus_poly): the tower polynomial is
-    u_n - 1, and the ratio is the product over e <= i < n of
-    1 + u_i + ... + u_i^(l-1).  That is O(n * l) products of residues of
-    degree below deg(modulus_poly), never the l^n coefficients of either
-    polynomial.  modulus_poly must be monic.
+    The ratio is the product over e <= i < n of 1 + u_i + ... + u_i^(l-1),
+    where u_i = (1 + T)^(l^i).  Each level builds one multiplication matrix,
+    that of u_i, and applies it 2(l - 1) times: to the running ratio for
+    the factor, and to u_i for u_{i+1} = u_i^l.  That is O(n * l) products
+    of residues of degree below deg(modulus_poly), never the l^n
+    coefficients of the ratio.  The result lists deg(modulus_poly)
+    coefficients in [0, modulus_int), low degree first; modulus_poly must be
+    monic.  tower_poly(l, n) itself is nu_{n,0} * T.
 
-    >>> [str(r) for r in tower_residues(2, 3, 1, T, 16)]  # T = 0: omega = 0, nu = l^(n-e)
-    ['0', '4']
-    >>> P = IntPoly((2, 0, 1))
-    >>> [str(r) for r in tower_residues(2, 3, 1, P, 16)]
-    ['8*T', '4*T']
-    >>> tower_residues(3, 2, 0, P, 9) == (
-    ...     poly_mod_reduce(tower_poly(3, 2), P, 9),
-    ...     poly_mod_reduce(tower_ratio(3, 2, 0), P, 9))
-    True
+    >>> tower_residues(2, 3, 1, T, 16)  # T = 0: nu = l^(n-e)
+    [4]
+    >>> tower_residues(2, 3, 1, IntPoly((2, 0, 1)), 16)
+    [0, 4]
     """
     ell = as_prime(ell).value
     if e < 0 or n < e:
         raise ValueError(f"need 0 <= e <= n, got e={e}, n={n}")
-
-    def mul(a: IntPoly, b: IntPoly) -> IntPoly:
-        return poly_mod_reduce(a * b, modulus_poly, modulus_int)
-
-    one = poly_mod_reduce(ONE, modulus_poly, modulus_int)
-    u = poly_mod_reduce(IntPoly((1, 1)), modulus_poly, modulus_int)
-    ratio = one
+    q = modulus_int
+    ratio = multiplication_matrix((1,), modulus_poly, q)[0]
+    u = multiplication_matrix((1, 1), modulus_poly, q)[0]
     for i in range(n):
-        powers = [one]
+        rows = [*zip(*multiplication_matrix(u, modulus_poly, q))]
+        terms = [ratio]  # ratio * u_i^j for j < l, summed into the factor
         for _ in range(ell - 1):
-            powers.append(mul(powers[-1], u))
-        if i >= e:
-            ratio = mul(ratio, sum(powers, ZERO))
-        u = mul(powers[-1], u)
-    return poly_mod_reduce(u - ONE, modulus_poly, modulus_int), ratio
+            if i >= e:
+                terms.append([sum(map(operator.mul, row, terms[-1])) % q for row in rows])
+            u = [sum(map(operator.mul, row, u)) % q for row in rows]
+        ratio = [sum(c) % q for c in zip(*terms)]
+    return ratio
 
 
-def multiplication_matrix(p: IntPoly, c: IntPoly) -> list[list[int]]:
+def multiplication_matrix(p: Sequence[int], c: IntPoly, q: int | None = None) -> list[list[int]]:
     """Multiplication by p on Z[T]/(c), as the columns (T^j * p) mod c, j < deg(c).
 
-    c must be monic.  Each column lists deg(c) coefficients, low degree first.
+    p is a coefficient sequence, low degree first, of any length; c must be
+    monic.  Each column lists deg(c) coefficients, low degree first, reduced
+    into [0, q) when an integer modulus q is given.  Everything, p mod c
+    included, comes from the companion action of T, which folds
+    T^deg(c) = -(low part of c) back in: this is the one product on
+    Z[T]/(c) in the package.
 
-    >>> multiplication_matrix(IntPoly((1, 1)), IntPoly((2, 0, 1)))
+    >>> multiplication_matrix((1, 1), IntPoly((2, 0, 1)))
     [[1, 1], [-2, 1]]
+    >>> multiplication_matrix((0, 0, 0, 1), IntPoly((2, 0, 1)), 8)  # T^3 = -2T
+    [[0, 6], [4, 0]]
     """
     if not c.is_monic:
         raise ValueError("polynomial modulus must be monic")
-    low = c.coeffs[:-1]
-    r = p % c
-    col = [r.coeff(i) for i in range(c.degree)]
-    columns = []
-    for _ in range(c.degree):
-        columns.append(col)
-        # T * col: shift up, then fold T^deg(c) = -(low part of c) back in
-        top = col[-1]
-        col = [x - top * b for x, b in zip([0] + col[:-1], low)]
-    return columns
+    d, low = c.degree, c.coeffs[:-1]
+    # Horner from the top d coefficients down, col = T * col + a, then the
+    # shifts T^j * (p mod c); the last d columns are the matrix
+    split = max(len(p) - d, 0)
+    col = [*p[split:], *[0] * (d - len(p) + split)]
+    columns = [col if q is None else [x % q for x in col]]
+    for a in [*reversed(p[:split]), *[0] * (d - 1)]:
+        top = columns[-1][-1]
+        col = [x - top * b for x, b in zip([a, *columns[-1][:-1]], low)]
+        columns.append(col if q is None else [x % q for x in col])
+    return columns[-d:]

@@ -7,12 +7,14 @@ At level n with exponent shift k the quotient is
 where omega_n = tower_poly(l, n), nu = nu_{n,e} = omega_n / omega_e and Y is
 the span of the descent generators (generic case; the special case instead
 adds one full Z/l^N summand on top of the generator-free quotient).  The
-kernel reads the generators' presentation at level e (level 0 without
-generators) from ``modules._presentation``, lifted to level n; no block grows
-with n:
+generators' presentation at level e (level 0, relation omega_0 = T, without
+generators) from ``modules._presentation`` is stacked once per window into
+one matrix, relation columns then one column per generator, and level n is
+one product with it; no block grows with n:
 
-* a distinguished block Z[T]/(P) takes the relation omega_n and the parts
-  nu * g, both mod (P, l^N) by ``tower_residues``;
+* the rows of a distinguished block Z[T]/(P) are multiplied by
+  M(nu mod (P, l^N)), the ``multiplication_matrix`` of ``tower_residues``:
+  M(nu) * M(omega_e) = M(omega_n) and M(nu) * g = nu * g mod P;
 * a free or l-power block Z[T]/(omega_e) stays as it is: multiplication by
   nu maps (Z/l^N)[T]/(omega_e) onto the Gal(K_n/K_e)-invariants of
   Z/l^N[Gamma_n], a direct summand of rank l^e that holds every part nu * g.
@@ -23,10 +25,9 @@ with n:
 Each Y generator gives one column (Y is not T-stable as a set, so
 generators get no shifts), and the l^N columns are folded into the
 elimination kernel.  A quotient is a count {valuation: multiplicity}, the
-split-off part two numbers per coordinate, and the presentation is built
-once for a window of levels.  ``dimension_cap`` counts the full ambient,
-coordinate_count * l^n, not the rows the kernel sees; it also bounds the
-factors ``quotient_group`` lists.
+split-off part two numbers per coordinate.  One cap bounds the full ambient
+dimension coordinate_count * l^n (not the rows the kernel sees; it also
+bounds the factors ``quotient_group`` lists) and the precision N.
 
 ``enumeration_oracle`` recomputes the same order by literal subgroup closure
 in the full finite ambient module, l^n monomials in every coordinate, from
@@ -37,6 +38,7 @@ the engine.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from collections import Counter
 from collections.abc import Iterator
 
@@ -54,7 +56,7 @@ from .modules import (
 )
 from .polynomials import (
     IntPoly,
-    poly_mod_reduce,
+    multiplication_matrix,
     tower_poly,
     tower_ratio,
     tower_residues,
@@ -142,15 +144,9 @@ def _first_level_over(ell: int, count: int, cap: int) -> int | None:
     return m
 
 
-def _quotients(
-    module: ElementaryModule, descent: DescentDatum, n_min: int, n_max: int, k: int, cap: int
-) -> Iterator[Counter[int]]:
-    """{valuation: multiplicity} of the level-n quotient for n_min <= n <= n_max.
-
-    The levels, the cap at the first level over it and the datum are checked
-    before any arithmetic, and the presentation is built once for all levels.
-    """
-    _check_levels(descent, n_min, k)
+def _check_caps(module: ElementaryModule, n_min: int, n_max: int, k: int, cap: int) -> None:
+    """The ambient dimension coordinate_count * l^n and the precision N = n + k
+    of every level in the window against the cap, before any l^n or l^N is built."""
     ell, count = module.prime.value, module.coordinate_count
     over = _first_level_over(ell, count, cap)
     if over is not None and over <= n_max:
@@ -158,32 +154,81 @@ def _quotients(
         # past the first level over the cap, l^n may be too large to build
         dim = count * ell**n if n == over else f"{count}*{ell}^{n}"
         raise CapExceeded(f"ambient dimension {dim} exceeds the cap {cap} at level n={n}")
+    if n_max + k > cap:
+        n = max(n_min, cap + 1 - k)
+        raise CapExceeded(f"precision N={n + k} exceeds the cap {cap} at level n={n}")
+
+
+def _check_presentation(module: ElementaryModule, descent: DescentDatum, cap: int) -> None:
+    """Rows of the level-e presentation of generic data against the cap, before
+    it is built: deg P per distinguished factor and l^e per free or
+    Lambda/(l^m) coordinate a generator touches, but at least one l^e, for
+    tower_poly(l, e) (or the defect bound free_rank * l^e without generators)."""
+    if not isinstance(descent, GenericDescent):
+        return
+    factors = (None,) * module.free_rank + module.torsion_factors
+    degree = sum(f.poly.degree for f in factors if isinstance(f, DistinguishedFactor))
+    touched = {
+        idx
+        for gen in descent.generators
+        for idx, (factor, coord) in enumerate(zip(factors, gen.coords))
+        if not (isinstance(factor, DistinguishedFactor) or coord.is_zero)
+    }
+    ell, e, blocks = module.prime.value, descent.level, max(len(touched), 1)
+    over = _first_level_over(ell, blocks, cap - degree)
+    if over is not None and over <= e:
+        raise CapExceeded(
+            f"the level-{e} presentation needs {degree} + {blocks}*{ell}^{e} rows, "
+            f"above the cap {cap}"
+        )
+
+
+def _quotients(
+    module: ElementaryModule, descent: DescentDatum, n_min: int, n_max: int, k: int, cap: int
+) -> Iterator[Counter[int]]:
+    """{valuation: multiplicity} of the level-n quotient for n_min <= n <= n_max.
+
+    The levels, the caps and the datum are checked before any arithmetic.
+    The level-e matrix is built once; each level multiplies the rows of every
+    distinguished block by M(nu_{n,e} mod (P, l^N)) and reduces mod l^N.
+    """
+    _check_levels(descent, n_min, k)
+    _check_caps(module, n_min, n_max, k, cap)
     require_valid(module, descent)
     gens = descent.generators if isinstance(descent, GenericDescent) else ()
     e = descent.level if gens else 0
     blocks = _presentation(module, gens, e)
+    relations, elements = _stack(blocks)
+    ell = module.prime.value
     factors = (None,) * module.free_rank + module.torsion_factors
+    sizes = [modulus.degree for modulus, _, _ in blocks.values()]
+    lifts = [  # (first row, P) of each distinguished block
+        (sum(sizes[:i]), modulus)
+        for i, (idx, (modulus, _, _)) in enumerate(blocks.items())
+        if isinstance(factors[idx], DistinguishedFactor)
+    ]
     for n in range(n_min, n_max + 1):
         exponent = n + k
         q = ell**exponent
         counts: Counter[int] = Counter()
-        lifted = dict(blocks)
         for idx, factor in enumerate(factors):
-            if isinstance(factor, DistinguishedFactor):
-                # with no generators nu is unused, and level n skips its product
-                omega, nu = tower_residues(module.prime, n, e if gens else n, factor.poly, q)
-                parts = [poly_mod_reduce(nu * part, factor.poly, q) for part in blocks[idx][2]]
-                lifted[idx] = (factor.poly, omega, parts)
-            else:
+            if not isinstance(factor, DistinguishedFactor):
                 # a block is the rank-l^e summand (module docstring); the rest splits off
                 cut = exponent if factor is None else min(factor.exponent, exponent)
                 counts[cut] += ell**n - (ell**e if idx in blocks else 0)
-        relations, elements = _stack(lifted)
-        columns = [col for col in ([x % q for x in c] for c in relations + elements) if any(col)]
+        columns = [[x % q for x in col] for col in relations + elements]
+        for start, modulus in lifts:
+            stop = start + modulus.degree
+            nu = [*zip(*multiplication_matrix(tower_residues(ell, n, e, modulus, q), modulus, q))]
+            for col in columns:
+                part = col[start:stop]
+                if any(part):
+                    col[start:stop] = [sum(map(operator.mul, row, part)) % q for row in nu]
+        columns = [col for col in columns if any(col)]
         if columns:
             counts.update(divisor_valuations(list(zip(*columns)), ell, exponent))
         else:
-            counts[exponent] += sum(modulus.degree for modulus, _, _ in lifted.values())
+            counts[exponent] += sum(sizes)
         if isinstance(descent, SpecialDescent):
             counts[exponent] += 1
         del counts[0]  # unit divisors

@@ -87,21 +87,23 @@ def _parse_int(value: str, line: int, key: str) -> int:
         raise ScenarioParseError(line, f"{key} needs an integer, got {value!r}") from None
 
 
-def _parse_int_list(value: str, line: int, key: str) -> list[int]:
+def _literal(value: str, line: int, message: str) -> object:
     try:
-        parsed = ast.literal_eval(value)
-    except (ValueError, SyntaxError):
-        raise ScenarioParseError(line, f"{key} needs a list like [0, 1]") from None
+        return ast.literal_eval(value)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        # malformed, unhashable set or dict members, or nested too deeply
+        raise ScenarioParseError(line, message) from None
+
+
+def _parse_int_list(value: str, line: int, key: str) -> list[int]:
+    parsed = _literal(value, line, f"{key} needs a list like [0, 1]")
     if not isinstance(parsed, list) or not all(isinstance(x, int) for x in parsed):
         raise ScenarioParseError(line, f"{key} needs a list of integers")
     return parsed
 
 
 def _parse_nested_list(value: str, line: int, key: str) -> list[list[int]]:
-    try:
-        parsed = ast.literal_eval(value)
-    except (ValueError, SyntaxError):
-        raise ScenarioParseError(line, f"{key} needs a list of coefficient lists") from None
+    parsed = _literal(value, line, f"{key} needs a list of coefficient lists")
     # an empty outer list is a generator for the zero module
     if not isinstance(parsed, list) or not all(
         isinstance(c, list) and all(isinstance(x, int) for x in c) for c in parsed

@@ -7,12 +7,14 @@ so they pin both the math and the output format.
 
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from towergrowth import invariants, modules, order_valuation, parse_run
+from towergrowth import invariants, modules, order_valuation, parse_run, quotients, scenarios
 from towergrowth.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -180,6 +182,74 @@ class TestExitCodes:
         assert "exceeds the cap" in err
         assert calls == []
 
+    def test_precision_cap_stops_before_any_residue(self, monkeypatch):
+        # l^N would have ten million bits; the window's dimension is far below the cap
+        calls = []
+        for attr in ("tower_residues", "divisor_valuations"):
+            original = getattr(quotients, attr)
+            monkeypatch.setattr(
+                quotients, attr, lambda *args, f=original: calls.append(args) or f(*args)
+            )
+        start = time.perf_counter()
+        code, _, err = run("orders", MIXED, "--k", "10000000")
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "precision N=10000001 exceeds the cap 4096 at level n=1" in err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "generators,level",
+        [
+            ("generator = [[1], [0]]", 22),  # a free coordinate: 2^22 rows
+            ("generator = [[0], [1]]", 22),  # tower_poly(2, 22) all the same
+            ("", 10**12),  # no generators: the defect bound free_rank * 2^e
+        ],
+        ids=["free", "distinguished", "no-generators"],
+    )
+    def test_invariants_counts_the_presentation_before_validation(
+        self, tmp_path, monkeypatch, generators, level
+    ):
+        calls = []
+        validate = modules.validate_descent
+        monkeypatch.setattr(
+            modules, "validate_descent", lambda *args: calls.append(args) or validate(*args)
+        )
+        f = tmp_path / "high_level.run"
+
+        def invariants_at(e):
+            f.write_text(
+                "[prime]\nl = 2\n[module]\nfree_rank = 1\npoly = [2, 1]\n"
+                f"[descent]\nkind = generic\ne = {e}\n{generators}\n"
+            )
+            return run("invariants", str(f))
+
+        start = time.perf_counter()
+        code, _, err = invariants_at(level)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert f"presentation needs 1 + 1*2^{level} rows, above the cap 4096" in err
+        assert calls == []
+        # 1 + 2^12 rows are one over the cap, 1 + 2^11 are within it
+        assert invariants_at(12)[0] == 3
+        assert invariants_at(11)[0] in (0, 2)
+
+    @pytest.mark.parametrize("level", [14, 20])
+    def test_scenario_checks_the_cap_before_building_generators(self, monkeypatch, level):
+        # 2^e dense monomials T^j: quadratic in 2^e, gigabytes from e = 14
+        calls = []
+        build = scenarios._full_span_descent
+        monkeypatch.setattr(
+            scenarios, "_full_span_descent", lambda *args: calls.append(args) or build(*args)
+        )
+        start = time.perf_counter()
+        code, _, err = run("scenario", f"prop14:e={level}")
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert f"exceeds the cap 4096 at level n={level + 1}" in err
+        assert calls == []
+        assert run("scenario", "prop14:e=2")[0] == 0
+        assert len(calls) == 1
+
     def test_usage_error_is_two(self):
         code, _, _ = run("orders")
         assert code == 2
@@ -240,3 +310,86 @@ class TestStdinAndOverrides:
         )
         assert code == 2
         assert "unknown" in err
+
+
+# negatives, 0, a few small values, and huge values up to 10^12
+_EXTREME = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([-(10**12), -1, 10**12]),
+    st.integers(-(10**12), -1),
+    st.integers(2**31, 10**12),
+)
+_SMALL = st.integers(-1, 3)
+
+
+@st.composite
+def _generated_run(draw, level):
+    """A small run file at l in {2, 3, 5}, with or without (possibly invalid) generators."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    free_rank = draw(st.integers(0, 2))
+    lines = [f"[prime]\nl = {ell}\n[module]\nfree_rank = {free_rank}"]
+    lines += [f"lpower = {m}" for m in draw(st.lists(st.integers(1, 2), max_size=1))]
+    lines += [f"poly = [{ell * a}, 1]" for a in draw(st.lists(st.integers(0, 2), max_size=1))]
+    coordinates = len(lines) - 1 + free_rank
+    if draw(st.booleans()):
+        lines.append("[descent]\nkind = special")
+    else:
+        lines.append(f"[descent]\nkind = generic\ne = {level}")
+        coefficient_lists = st.lists(st.integers(-2, 2), max_size=2).map(str)
+        for _ in range(draw(st.integers(0, 2))):
+            coords = draw(st.lists(coefficient_lists, min_size=coordinates, max_size=coordinates))
+            lines.append(f"generator = [{', '.join(coords)}]")
+    return "\n".join(lines) + "\n"
+
+
+def _window(text, level, n_min, n_max):
+    head = text.split("[run]")[0].replace("e = 0", f"e = {level}")
+    return head + f"[run]\nn_min = {n_min}\nn_max = {n_max}\nk = 0\n"
+
+
+def _every_command(text, k, cap):
+    """Exit codes of orders, invariants, fit and verify on the run text via stdin."""
+    codes = []
+    for command in ("orders", "invariants", "fit", "verify"):
+        argv = [command, "-"]
+        if command != "invariants":
+            argv += ["--k", str(k)] + ([] if cap is None else ["--cap", str(cap)])
+        saved = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            codes.append(run_command(argv, io.StringIO(), io.StringIO()))
+        finally:
+            sys.stdin = saved
+    return codes
+
+
+@st.composite
+def _fuzz_input(draw, numbers, caps):
+    level, n_min = draw(numbers), draw(numbers)
+    n_max = draw(st.one_of(numbers, st.integers(0, 3).map(n_min.__add__)))
+    golden = st.sampled_from([MIXED, SPECIAL, TRANSIENT]).map(lambda p: Path(p).read_text())
+    text = draw(st.one_of(golden, _generated_run(level)))
+    return _window(text, level, n_min, n_max), draw(numbers), draw(caps)
+
+
+class TestFuzzedCommands:
+    """Every command returns an exit code, never a traceback or a hang.
+
+    The caps bound what a window may ask for.  A cap raised far above the
+    default admits work it does not bound (a level-e presentation of l^e
+    rows, a precision of l^N with N up to the cap), so extreme caps are drawn
+    with small levels and shifts, and extreme levels and shifts with caps up
+    to the default.
+    """
+
+    @given(_fuzz_input(_EXTREME, st.sampled_from([None, -(10**12), -1, 0, 1, 4096])))
+    @settings(max_examples=100, deadline=2000)
+    def test_extreme_levels_and_shifts(self, drawn):
+        text, k, cap = drawn
+        assert set(_every_command(text, k, cap)) <= {0, 1, 2, 3}
+
+    @given(_fuzz_input(_SMALL, _EXTREME))
+    @settings(max_examples=100, deadline=2000)
+    def test_extreme_caps(self, drawn):
+        text, k, cap = drawn
+        assert set(_every_command(text, k, cap)) <= {0, 1, 2, 3}

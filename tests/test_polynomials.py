@@ -19,13 +19,11 @@ from towergrowth.polynomials import (
     cyclotomic_factors,
     is_distinguished,
     monomial,
-    poly_mod_reduce,
+    multiplication_matrix,
     tower_poly,
     tower_ratio,
     tower_residues,
 )
-
-from conftest import _random_distinguished
 
 
 class TestPrime:
@@ -147,21 +145,41 @@ class TestTowerPolys:
         assert not is_distinguished(IntPoly((2, 1, 1)), 2)  # middle term odd
 
 
-class TestPolyModReduce:
+def _residue(p: IntPoly, modulus: IntPoly, q: int | None = None) -> list[int]:
+    """p mod (modulus, q) by IntPoly long division: no companion fold."""
+    r = p % modulus
+    if q is not None:
+        r = r.reduce_coeffs(q)
+    return [r.coeff(i) for i in range(modulus.degree)]
+
+
+def _distinguished(rng: random.Random, ell: int, degree: int) -> IntPoly:
+    return IntPoly(tuple(ell * rng.randint(-3, 3) for _ in range(degree)) + (1,))
+
+
+def _matmul(a: list[list[int]], b: list[list[int]], q: int) -> list[list[int]]:
+    """Product of two matrices given as columns, mod q."""
+    return [[sum(x * col[i] for i, x in enumerate(row)) % q for row in zip(*a)] for col in b]
+
+
+class TestMultiplicationMatrix:
+    """The one product on Z[T]/(c), against IntPoly long division."""
+
     def test_frozen_values(self):
         w = IntPoly((0, 2, 1))  # T^2 + 2T
-        assert poly_mod_reduce(IntPoly((0, 0, 1)), w, 4) == IntPoly((0, 2))
-        assert poly_mod_reduce(IntPoly((5, 1)), w, 4) == IntPoly((1, 1))
+        assert multiplication_matrix((0, 0, 1), w, 4)[0] == [0, 2]
+        assert multiplication_matrix((5, 1), w, 4)[0] == [1, 1]
+        # T^2 = -2T and T^3 = 4T over Z
+        assert multiplication_matrix((0, 0, 1), w) == [[0, -2], [0, 4]]
 
     def test_requires_monic_modulus(self):
         with pytest.raises(ValueError):
-            poly_mod_reduce(T, IntPoly((0, 2)), 4)
+            multiplication_matrix(T.coeffs, IntPoly((0, 2)), 4)
 
     def test_idempotent(self):
         w = tower_poly(2, 2)
-        p = IntPoly((7, -3, 9, 1, 5, 2))
-        once = poly_mod_reduce(p, w, 8)
-        assert poly_mod_reduce(once, w, 8) == once
+        once = multiplication_matrix((7, -3, 9, 1, 5, 2), w, 8)[0]
+        assert multiplication_matrix(once, w, 8)[0] == once
 
     @given(
         coeffs=st.lists(st.integers(-9, 9), max_size=8),
@@ -170,34 +188,56 @@ class TestPolyModReduce:
     )
     def test_class_invariance(self, coeffs, mult, scale):
         # adding multiples of the modulus polynomial or of the integer
-        # modulus never changes the reduced form
+        # modulus never changes the matrix mod q
         w = tower_poly(2, 1)
         q = 8
         p = IntPoly(tuple(coeffs))
         shifted = p + w * IntPoly(tuple(mult)) + scale * q * ONE
-        assert poly_mod_reduce(shifted, w, q) == poly_mod_reduce(p, w, q)
+        assert multiplication_matrix(shifted.coeffs, w, q) == multiplication_matrix(
+            p.coeffs, w, q
+        )
+
+    @given(
+        coeffs=st.lists(st.integers(-10**6, 10**6), max_size=12),
+        low=st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+        q=st.sampled_from([None, 2, 9, 5**7, 2**70]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_columns_match_long_division(self, coeffs, low, q):
+        p, c = IntPoly(tuple(coeffs)), IntPoly(tuple(low) + (1,))
+        assert multiplication_matrix(coeffs, c, q) == [
+            _residue(p.shift(j), c, q) for j in range(c.degree)
+        ]
+
+
+# exact references have l^n coefficients of up to l^n bits, so n stops at
+# 8 (l = 2), 6 (l = 3) and 4 (l = 5)
+_RESIDUE_LEVELS = [(ell, n) for ell in (2, 3, 5) for n in range(9) if ell**n <= 729]
 
 
 class TestTowerResidues:
-    """tower_residues against the exact level-n polynomials reduced by
-    poly_mod_reduce, the two routes sharing no arithmetic."""
+    """tower_residues and the lift M(nu) against the exact level-n polynomials
+    reduced by IntPoly long division, the two routes sharing no arithmetic."""
 
-    @pytest.mark.parametrize(
-        "ell,n", [(ell, n) for ell in (2, 3, 5) for n in range(9) if ell**n <= 256]
-    )
-    def test_matches_reduced_tower_polynomials(self, ell, n):
+    @pytest.mark.parametrize("ell,n", _RESIDUE_LEVELS)
+    def test_ratio_and_lift_match_exact_polynomials(self, ell, n):
         rng = random.Random(ell * 100 + n)
-        moduli = cyclotomic_factors(ell, 3) + tuple(
-            _random_distinguished(rng, ell) for _ in range(3)
-        )
+        moduli = [_distinguished(rng, ell, degree) for degree in (1, 2, 3, 4)]
         for e in range(n + 1):
             for P in moduli:
                 for N in (1, 5, 40):
                     q = ell**N
-                    assert tower_residues(ell, n, e, P, q) == (
-                        poly_mod_reduce(tower_poly(ell, n), P, q),
-                        poly_mod_reduce(tower_ratio(ell, n, e), P, q),
-                    ), (e, P, N)
+                    nu = tower_residues(ell, n, e, P, q)
+                    assert nu == _residue(tower_ratio(ell, n, e), P, q), (e, P, N)
+                    lift = _matmul(
+                        multiplication_matrix(nu, P, q),
+                        multiplication_matrix(tower_poly(ell, e).coeffs, P, q),
+                        q,
+                    )
+                    omega_n = tower_poly(ell, n)
+                    assert lift == [
+                        _residue(omega_n.shift(j), P, q) for j in range(P.degree)
+                    ], (e, P, N)
 
     def test_rejects_inverted_levels_and_non_monic_modulus(self):
         with pytest.raises(ValueError):

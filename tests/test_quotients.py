@@ -172,6 +172,15 @@ class TestCaps:
         order_sequence(module, touched, 1, 5, dimension_cap=64)
         assert kernel_shapes
 
+    def test_precision_checked_before_any_level(self, kernel_shapes):
+        # levels 1..6 are within the cap; n + k first passes it at n = 7
+        with pytest.raises(CapExceeded, match=r"precision N=4097 exceeds the cap 4096 at level n=7"):
+            order_sequence(LAMBDA, TRIVIAL, 1, 10, k=4090)
+        with pytest.raises(CapExceeded, match=r"precision N=65 exceeds the cap 64 at level n=3"):
+            quotient_group(LAMBDA, TRIVIAL, 3, k=62, dimension_cap=64)
+        assert kernel_shapes == []
+        assert order_valuation(LAMBDA, TRIVIAL, 2, k=62, dimension_cap=64) == 4 * 64
+
     def test_caps_checked_before_validation(self, monkeypatch):
         # validation builds tower_poly(l, e) with no cap of its own, so an
         # over-cap window must stop before it
@@ -224,13 +233,32 @@ class TestCaps:
 
     def test_presentation_built_once_per_window(self, monkeypatch):
         calls = []
-        presentation = quotients._presentation
-        monkeypatch.setattr(
-            quotients, "_presentation", lambda *args: calls.append(args) or presentation(*args)
-        )
+        for attr in ("_presentation", "_stack"):
+            original = getattr(quotients, attr)
+            monkeypatch.setattr(
+                quotients, attr, lambda *args, f=original: calls.append(f) or f(*args)
+            )
         run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
         order_sequence(run.module, run.descent, 1, 4)
-        assert len(calls) == 1
+        assert len(calls) == 2
+
+    def test_levels_run_no_intpoly_arithmetic(self, monkeypatch):
+        # each level is the level-e matrix times M(nu): IntPoly products and
+        # divisions run only while the presentation is built, once per window
+        calls = []
+        for attr in ("__mul__", "__divmod__"):
+            original = getattr(IntPoly, attr)
+            monkeypatch.setattr(
+                IntPoly, attr, lambda *args, f=original: calls.append(f) or f(*args)
+            )
+        run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
+        order_sequence(run.module, run.descent, 1, 1)  # validation, memoised
+        counts = []
+        for n_max in (1, 8):
+            calls.clear()
+            order_sequence(run.module, run.descent, 1, n_max, k=3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestEnumerationAgreement:

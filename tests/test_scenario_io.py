@@ -183,3 +183,49 @@ class TestRoundTrip:
             shift=shift,
         )
         assert parse_run(serialize_run(spec)) == spec
+
+
+
+# values that reach past the plain parse: unhashable literals, nesting past
+# the parser's limits, integers past the string-conversion limit
+_NASTY = (
+    "{[]: 1}",
+    "{1, []}",
+    "[" * 300,
+    "-" * 100_000 + "1",
+    "[[1], {2}]",
+    "9" * 5000,
+    "[1, 2.5]",
+    "[[]]",
+    "generic",
+    "special",
+    "-1",
+)
+_VALUES = st.one_of(st.sampled_from(_NASTY), st.text(max_size=20), st.integers().map(str))
+
+
+@st.composite
+def _mangled_canonical(draw):
+    """The canonical file with some values replaced and maybe one stray line."""
+    lines = []
+    for line in CANONICAL.splitlines():
+        key, sep, _ = line.partition("=")
+        lines.append(f"{key}= {draw(_VALUES)}" if sep and draw(st.booleans()) else line)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=30)))
+    return "\n".join(lines)
+
+
+class TestParseFuzz:
+    @given(st.one_of(st.text(), _mangled_canonical()))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_parse_errors(self, text):
+        try:
+            parse_run(text)
+        except ScenarioParseError:
+            pass
+
+    @pytest.mark.parametrize("value", ["{[]: 1}", "{1, []}", "-" * 100_000 + "1", "[" * 300])
+    def test_hostile_literals_are_parse_errors(self, value):
+        with pytest.raises(ScenarioParseError, match="line 4"):
+            parse_run(f"[prime]\nl = 2\n[module]\npoly = {value}\n")
