@@ -41,7 +41,7 @@ from .invariants import (
 )
 from .modules import CaseTag, classify_case, require_valid
 from .quotients import DEFAULT_DIMENSION_CAP, CapExceeded, OrderSequence, order_sequence
-from .quotients import _check_caps, _check_presentation
+from .quotients import check_caps, check_presentation
 from .scenario_io import RunSpec, ScenarioParseError, parse_run
 from .scenarios import (
     MirrorSide,
@@ -131,12 +131,10 @@ def _fit_json(fit: FitResult) -> dict:
     }
 
 
-def _emit(out: TextIO, args: argparse.Namespace, payload: dict, rows: list[str]) -> None:
-    """The JSON document of the command under --json, else the text rows."""
-    if args.json:
-        json.dump({"schema": SCHEMA, "command": args.command, **payload}, out, indent=2)
-    else:
-        out.write("\n".join(rows))
+def _emit_json(out: TextIO, command: str, payload: dict) -> None:
+    doc = {"schema": SCHEMA, "command": command}
+    doc.update(payload)
+    json.dump(doc, out, indent=2, sort_keys=False)
     out.write("\n")
 
 
@@ -155,14 +153,17 @@ def _compute_sequence(spec: RunSpec, k_override: int | None, cap: int) -> OrderS
 def _cmd_orders(args: argparse.Namespace, out: TextIO) -> int:
     spec = _read_spec(args.file)
     seq = _compute_sequence(spec, args.k, args.cap)
-    _emit(out, args, _sequence_json(seq), _sequence_rows(seq))
+    if args.json:
+        _emit_json(out, "orders", _sequence_json(seq))
+    else:
+        out.write("\n".join(_sequence_rows(seq)) + "\n")
     return 0
 
 
 def _cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
     spec = _read_spec(args.file)
     # validation and the defect bound build l^e-sized objects with no cap of their own
-    _check_presentation(spec.module, spec.descent, DEFAULT_DIMENSION_CAP)
+    check_presentation(spec.module, spec.descent, DEFAULT_DIMENSION_CAP)
     require_valid(spec.module, spec.descent)
     inv = structural_invariants(spec.module)
     case = classify_case(spec.module, spec.descent)
@@ -170,25 +171,31 @@ def _cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
     # the generic prediction is lam - defect; the other cases have no defect
     defect = inv.lam - predicted.lam_tilde if case is CaseTag.GENERIC else 0
     bound = defect_bound(spec.module, spec.descent)
-    payload = {
-        "case": case.value,
-        "free_rank": inv.free_rank,
-        "mu": inv.mu,
-        "lam": inv.lam,
-        "defect": defect,
-        "defect_bound": bound,
-        "predicted": _triple_json(predicted),
-    }
-    rows = [
-        f"case\t{case.value}",
-        f"free_rank\t{inv.free_rank}",
-        f"mu\t{inv.mu}",
-        f"lam\t{inv.lam}",
-        f"defect\t{defect}",
-        f"defect_bound\t{bound}",
-        f"predicted\t{_triple_text(predicted)}",
-    ]
-    _emit(out, args, payload, rows)
+    if args.json:
+        _emit_json(
+            out,
+            "invariants",
+            {
+                "case": case.value,
+                "free_rank": inv.free_rank,
+                "mu": inv.mu,
+                "lam": inv.lam,
+                "defect": defect,
+                "defect_bound": bound,
+                "predicted": _triple_json(predicted),
+            },
+        )
+    else:
+        rows = [
+            f"case\t{case.value}",
+            f"free_rank\t{inv.free_rank}",
+            f"mu\t{inv.mu}",
+            f"lam\t{inv.lam}",
+            f"defect\t{defect}",
+            f"defect_bound\t{bound}",
+            f"predicted\t{_triple_text(predicted)}",
+        ]
+        out.write("\n".join(rows) + "\n")
     return 0
 
 
@@ -196,7 +203,10 @@ def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     spec = _read_spec(args.file)
     seq = _compute_sequence(spec, args.k, args.cap)
     fit = fit_parameters(seq)
-    _emit(out, args, _fit_json(fit), _fit_rows(fit))
+    if args.json:
+        _emit_json(out, "fit", _fit_json(fit))
+    else:
+        out.write("\n".join(_fit_rows(fit)) + "\n")
     return 0
 
 
@@ -207,21 +217,27 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     predicted = predict_parameters(spec.module, spec.descent)
     fit = fit_parameters(seq)
     report = verify_prediction(predicted, fit)
-    payload = {
-        "predicted": _triple_json(report.predicted),
-        "fitted": _triple_json(report.fitted),
-        "classification": _classification_json(report.classification),
-        "detail": report.detail,
-        "passed": report.passed,
-    }
-    rows = [
-        f"predicted\t{_triple_text(report.predicted)}",
-        f"fitted\t{_triple_text(report.fitted)}",
-        f"classification\t{_classification_text(report.classification)}",
-        f"detail\t{report.detail}",
-        f"verdict\t{report.verdict}",
-    ]
-    _emit(out, args, payload, rows)
+    if args.json:
+        _emit_json(
+            out,
+            "verify",
+            {
+                "predicted": _triple_json(report.predicted),
+                "fitted": _triple_json(report.fitted),
+                "classification": _classification_json(report.classification),
+                "detail": report.detail,
+                "passed": report.passed,
+            },
+        )
+    else:
+        rows = [
+            f"predicted\t{_triple_text(report.predicted)}",
+            f"fitted\t{_triple_text(report.fitted)}",
+            f"classification\t{_classification_text(report.classification)}",
+            f"detail\t{report.detail}",
+            f"verdict\t{report.verdict}",
+        ]
+        out.write("\n".join(rows) + "\n")
     return 0 if report.passed else 1
 
 
@@ -230,8 +246,8 @@ def _cmd_scenario(args: argparse.Namespace, out: TextIO) -> int:
     n_min = scenario.n_min if args.n_min is None else args.n_min
     n_max = scenario.n_max if args.n_max is None else args.n_max
     shift = scenario.shift if args.k is None else args.k
-    # the descent (full-span generators grow as l^e) is built once the window passes
-    _check_caps(scenario.module, n_min, n_max, shift, args.cap)
+    # the full-span descent (l^e generators) is built once the window passes
+    check_caps(scenario.module, n_min, n_max, shift, args.cap)
     seq = order_sequence(
         scenario.module,
         scenario.descent,
@@ -252,26 +268,32 @@ def _cmd_scenario(args: argparse.Namespace, out: TextIO) -> int:
         )
     fit = fit_parameters(seq)
     report = verify_prediction(scenario.expected, fit)
-    payload = {
-        "name": scenario.name,
-        "description": scenario.description,
-        "sequence": _sequence_json(seq),
-        "expected": _triple_json(scenario.expected),
-        "fitted": _triple_json(report.fitted),
-        "classification": _classification_json(report.classification),
-        "detail": report.detail,
-        "passed": report.passed,
-    }
-    rows = [
-        f"name\t{scenario.name}",
-        f"description\t{scenario.description}",
-        *_sequence_rows(seq),
-        f"expected\t{_triple_text(scenario.expected)}",
-        f"fitted\t{_triple_text(report.fitted)}",
-        f"classification\t{_classification_text(report.classification)}",
-        f"verdict\t{report.verdict}",
-    ]
-    _emit(out, args, payload, rows)
+    if args.json:
+        _emit_json(
+            out,
+            "scenario",
+            {
+                "name": scenario.name,
+                "description": scenario.description,
+                "sequence": _sequence_json(seq),
+                "expected": _triple_json(scenario.expected),
+                "fitted": _triple_json(report.fitted),
+                "classification": _classification_json(report.classification),
+                "detail": report.detail,
+                "passed": report.passed,
+            },
+        )
+    else:
+        rows = [
+            f"name\t{scenario.name}",
+            f"description\t{scenario.description}",
+            *_sequence_rows(seq),
+            f"expected\t{_triple_text(scenario.expected)}",
+            f"fitted\t{_triple_text(report.fitted)}",
+            f"classification\t{_classification_text(report.classification)}",
+            f"verdict\t{report.verdict}",
+        ]
+        out.write("\n".join(rows) + "\n")
     return 0 if report.passed else 1
 
 
@@ -314,17 +336,24 @@ def _cmd_mirror(args: argparse.Namespace, out: TextIO) -> int:
             raise ValueError("mirror needs either --level or both --left and --right")
         left, right = mirror_context_for_full_span(args.level)
     report = mirror_check(left, right)
-    payload = {
-        "checks": [
-            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok} for c in report.checks
-        ],
-        "warnings": list(report.warnings),
-        "passed": report.passed,
-    }
-    rows = [f"{c.name}\t{c.lhs}\t{c.rhs}\t{'ok' if c.ok else 'MISMATCH'}" for c in report.checks]
-    rows.extend(f"warning\t{w}" for w in report.warnings)
-    rows.append(f"verdict\t{report.verdict}")
-    _emit(out, args, payload, rows)
+    if args.json:
+        _emit_json(
+            out,
+            "mirror",
+            {
+                "checks": [
+                    {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok}
+                    for c in report.checks
+                ],
+                "warnings": list(report.warnings),
+                "passed": report.passed,
+            },
+        )
+    else:
+        rows = [f"{c.name}\t{c.lhs}\t{c.rhs}\t{'ok' if c.ok else 'MISMATCH'}" for c in report.checks]
+        rows.extend(f"warning\t{w}" for w in report.warnings)
+        rows.append(f"verdict\t{report.verdict}")
+        out.write("\n".join(rows) + "\n")
     return 0 if report.passed else 1
 
 

@@ -27,7 +27,9 @@ generators get no shifts), and the l^N columns are folded into the
 elimination kernel.  A quotient is a count {valuation: multiplicity}, the
 split-off part two numbers per coordinate.  One cap bounds the full ambient
 dimension coordinate_count * l^n (not the rows the kernel sees; it also
-bounds the factors ``quotient_group`` lists) and the precision N.
+bounds the factors ``quotient_group`` lists) and the precision N
+(``check_caps``); ``check_presentation`` bounds the level-e data for a
+caller without a window.
 
 ``enumeration_oracle`` recomputes the same order by literal subgroup closure
 in the full finite ambient module, l^n monomials in every coordinate, from
@@ -144,7 +146,7 @@ def _first_level_over(ell: int, count: int, cap: int) -> int | None:
     return m
 
 
-def _check_caps(module: ElementaryModule, n_min: int, n_max: int, k: int, cap: int) -> None:
+def check_caps(module: ElementaryModule, n_min: int, n_max: int, k: int, cap: int) -> None:
     """The ambient dimension coordinate_count * l^n and the precision N = n + k
     of every level in the window against the cap, before any l^n or l^N is built."""
     ell, count = module.prime.value, module.coordinate_count
@@ -159,28 +161,27 @@ def _check_caps(module: ElementaryModule, n_min: int, n_max: int, k: int, cap: i
         raise CapExceeded(f"precision N={n + k} exceeds the cap {cap} at level n={n}")
 
 
-def _check_presentation(module: ElementaryModule, descent: DescentDatum, cap: int) -> None:
-    """Rows of the level-e presentation of generic data against the cap, before
-    it is built: deg P per distinguished factor and l^e per free or
-    Lambda/(l^m) coordinate a generator touches, but at least one l^e, for
-    tower_poly(l, e) (or the defect bound free_rank * l^e without generators)."""
+def check_presentation(module: ElementaryModule, descent: DescentDatum, cap: int) -> None:
+    """The level-e data of generic descent against the cap, before validation
+    builds them.  ``_presentation`` has the same blocks at every level: deg P
+    rows for a distinguished one, l^e for any other (one row at level 0).
+    With no other block, tower_poly(l, e) and the defect bound free_rank * l^e
+    still have size l^e."""
     if not isinstance(descent, GenericDescent):
         return
-    factors = (None,) * module.free_rank + module.torsion_factors
-    degree = sum(f.poly.degree for f in factors if isinstance(f, DistinguishedFactor))
-    touched = {
-        idx
-        for gen in descent.generators
-        for idx, (factor, coord) in enumerate(zip(factors, gen.coords))
-        if not (isinstance(factor, DistinguishedFactor) or coord.is_zero)
-    }
-    ell, e, blocks = module.prime.value, descent.level, max(len(touched), 1)
-    over = _first_level_over(ell, blocks, cap - degree)
+    ell, e = module.prime.value, descent.level
+    distinguished = [f for f in module.torsion_factors if isinstance(f, DistinguishedFactor)]
+    degree = sum(f.poly.degree for f in distinguished)
+    grown = len(_presentation(module, descent.generators, 0)) - len(distinguished)
+    if grown:
+        over = _first_level_over(ell, grown, cap - degree)
+        size = f"the level-{e} presentation needs {degree} + {grown}*{ell}^{e} rows"
+    else:
+        over = _first_level_over(ell, 1, cap)
+        rank = module.free_rank
+        size = f"tower_poly({ell}, {e}) has degree {ell}^{e} (defect bound {rank}*{ell}^{e})"
     if over is not None and over <= e:
-        raise CapExceeded(
-            f"the level-{e} presentation needs {degree} + {blocks}*{ell}^{e} rows, "
-            f"above the cap {cap}"
-        )
+        raise CapExceeded(f"{size}, above the cap {cap}")
 
 
 def _quotients(
@@ -193,7 +194,7 @@ def _quotients(
     distinguished block by M(nu_{n,e} mod (P, l^N)) and reduces mod l^N.
     """
     _check_levels(descent, n_min, k)
-    _check_caps(module, n_min, n_max, k, cap)
+    check_caps(module, n_min, n_max, k, cap)
     require_valid(module, descent)
     gens = descent.generators if isinstance(descent, GenericDescent) else ()
     e = descent.level if gens else 0

@@ -2,10 +2,12 @@
 
 A scenario packages a module, descent data, the expected asymptotic
 parameters, and a default level window over which the expectation should be
-visible.  Building one checks nothing and builds no generators: the descent
-is made on first use of ``Scenario.descent``, so the ``scenario`` command
-checks the window against the cap first and compares the expectation with
-the prediction after the sequence.  The registry keys
+visible.  Building one checks nothing.  The descent may be given as a
+function that builds it on the first read of ``Scenario.descent``, as the
+full-span scenarios do, so the ``scenario`` command checks the window
+against the cap before their l^e generators per free coordinate exist; it
+compares the expectation with the prediction after the sequence.  The
+registry keys
 (``prop14``, ``prop15``, ``special-demo``, ``trivial-demo``) are stable tokens
 used by the command line interface.
 
@@ -19,8 +21,7 @@ stable rank.
 from __future__ import annotations
 
 import dataclasses
-import functools
-from collections.abc import Callable
+from typing import Any
 
 from .invariants import Grade, ParamTriple
 from .modules import (
@@ -45,23 +46,40 @@ def default_level_range(ell: int, level: int) -> tuple[int, int]:
     return level + 1, max(top, level + 4)
 
 
+class _BuiltOnRead:
+    """A dataclass field given as a value or as a zero-argument function that
+    builds the value on the first read of the field."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj: object, owner: type | None = None) -> Any:
+        if obj is None:
+            raise AttributeError(self.slot)  # no class-level default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj: object, value: Any) -> None:
+        obj.__dict__[self.slot] = value
+
+
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     name: str
     description: str
     module: ElementaryModule
-    _make_descent: Callable[[], DescentDatum] = dataclasses.field(repr=False, compare=False)
+    descent: DescentDatum = _BuiltOnRead()  # or a function that builds it
     expected: ParamTriple
     n_min: int
     n_max: int
     shift: int = 0
 
-    @functools.cached_property
-    def descent(self) -> DescentDatum:
-        return self._make_descent()
 
-
-def _full_span_descent(module: ElementaryModule, level: int) -> GenericDescent:
+def _full_span_generators(
+    module: ElementaryModule, level: int
+) -> tuple[ModuleElement, ...]:
     """One generator per monomial per free coordinate; torsion parts zero."""
     ell = module.prime.value
     gens = []
@@ -72,34 +90,28 @@ def _full_span_descent(module: ElementaryModule, level: int) -> GenericDescent:
             )
             torsion = (ZERO,) * len(module.torsion_factors)
             gens.append(ModuleElement(free_coords=free, torsion_coords=torsion))
-    return GenericDescent(level=level, generators=tuple(gens))
-
-
-def _full_span(module: ElementaryModule, level: int, name: str, description: str) -> Scenario:
-    """Full spans per free coordinate at level e: the defect removes free_rank * l^e."""
-    if level < 0:
-        raise ValueError("descent level must be nonnegative")
-    ell, rank = module.prime.value, module.free_rank
-    n_min, n_max = default_level_range(ell, level)
-    return Scenario(
-        name=name,
-        description=description,
-        module=module,
-        _make_descent=functools.partial(_full_span_descent, module, level),
-        expected=ParamTriple(rank, 0, -rank * ell**level, Grade.BOUNDED),
-        n_min=n_min,
-        n_max=n_max,
-    )
+    return tuple(gens)
 
 
 def full_span_scenario(level: int = 0) -> Scenario:
     """Rank-one module at l=2 whose generators span everything at level e."""
-    return _full_span(
-        ElementaryModule(prime=2, free_rank=1),
-        level,
-        f"prop14:e={level}",
-        "free rank one at l=2 with a full span of generators at level "
-        f"{level}; the defect removes 2^{level} from lam_tilde",
+    if level < 0:
+        raise ValueError("descent level must be nonnegative")
+    module = ElementaryModule(prime=2, free_rank=1)
+    descent = lambda: GenericDescent(level, _full_span_generators(module, level))
+    n_min, n_max = default_level_range(2, level)
+    expected = ParamTriple(1, 0, -(2**level), Grade.BOUNDED)
+    return Scenario(
+        name=f"prop14:e={level}",
+        description=(
+            "free rank one at l=2 with a full span of generators at level "
+            f"{level}; the defect removes 2^{level} from lam_tilde"
+        ),
+        module=module,
+        descent=descent,
+        expected=expected,
+        n_min=n_min,
+        n_max=n_max,
     )
 
 
@@ -108,51 +120,68 @@ def replicated_full_span_scenario(ell: int = 3, level: int = 0) -> Scenario:
     prime = as_prime(ell)
     if prime.value == 2:
         raise ValueError("this scenario needs an odd prime")
+    if level < 0:
+        raise ValueError("descent level must be nonnegative")
     rank = (prime.value - 1) // 2
-    return _full_span(
-        ElementaryModule(prime=prime, free_rank=rank),
-        level,
-        f"prop15:l={prime.value},e={level}",
-        f"free rank {rank} at l={prime.value} with full spans at level "
-        f"{level}; the defect removes {rank}*{prime.value}^{level}",
+    module = ElementaryModule(prime=prime, free_rank=rank)
+    descent = lambda: GenericDescent(level, _full_span_generators(module, level))
+    n_min, n_max = default_level_range(prime.value, level)
+    expected = ParamTriple(
+        rank, 0, -rank * prime.value**level, Grade.BOUNDED
+    )
+    return Scenario(
+        name=f"prop15:l={prime.value},e={level}",
+        description=(
+            f"free rank {rank} at l={prime.value} with full spans at level "
+            f"{level}; the defect removes {rank}*{prime.value}^{level}"
+        ),
+        module=module,
+        descent=descent,
+        expected=expected,
+        n_min=n_min,
+        n_max=n_max,
     )
 
 
-def _demo_scenario(
-    name: str, description: str, make_descent: Callable[[], DescentDatum], lam_tilde: int
-) -> Scenario:
-    """The mixed module Lambda + Lambda/(2) + Lambda/(T) at l=2."""
-    return Scenario(
-        name=name,
-        description=description,
-        module=ElementaryModule(
-            prime=2,
-            free_rank=1,
-            torsion_factors=(LPower(exponent=1), DistinguishedFactor(poly=IntPoly((0, 1)))),
+def _demo_module() -> ElementaryModule:
+    return ElementaryModule(
+        prime=2,
+        free_rank=1,
+        torsion_factors=(
+            LPower(exponent=1),
+            DistinguishedFactor(poly=IntPoly((0, 1))),
         ),
-        _make_descent=make_descent,
-        expected=ParamTriple(1, 1, lam_tilde, Grade.STRICT),
+    )
+
+
+def special_demo_scenario() -> Scenario:
+    module = _demo_module()
+    return Scenario(
+        name="special-demo",
+        description=(
+            "mixed module at l=2 under special descent; lam_tilde gains one"
+        ),
+        module=module,
+        descent=SpecialDescent(),
+        expected=ParamTriple(1, 1, 2, Grade.STRICT),
         n_min=1,
         n_max=6,
     )
 
 
-def special_demo_scenario() -> Scenario:
-    return _demo_scenario(
-        "special-demo",
-        "mixed module at l=2 under special descent; lam_tilde gains one",
-        SpecialDescent,
-        2,
-    )
-
-
 def trivial_demo_scenario() -> Scenario:
-    return _demo_scenario(
-        "trivial-demo",
-        "mixed module at l=2 with no generators; parameters match the "
-        "structural invariants exactly",
-        functools.partial(GenericDescent, level=0),
-        1,
+    module = _demo_module()
+    return Scenario(
+        name="trivial-demo",
+        description=(
+            "mixed module at l=2 with no generators; parameters match the "
+            "structural invariants exactly"
+        ),
+        module=module,
+        descent=GenericDescent(level=0, generators=()),
+        expected=ParamTriple(1, 1, 1, Grade.STRICT),
+        n_min=1,
+        n_max=6,
     )
 
 

@@ -198,16 +198,19 @@ class TestExitCodes:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "generators,level",
+        "generators,level,first_over,size",
         [
-            ("generator = [[1], [0]]", 22),  # a free coordinate: 2^22 rows
-            ("generator = [[0], [1]]", 22),  # tower_poly(2, 22) all the same
-            ("", 10**12),  # no generators: the defect bound free_rank * 2^e
+            # a free coordinate: 1 + 2^e rows
+            ("generator = [[1], [0]]", 22, 12, "the level-{e} presentation needs 1 + 1*2^{e} rows"),
+            # tower_poly(2, e) all the same
+            ("generator = [[0], [1]]", 22, 13, "tower_poly(2, {e}) has degree 2^{e}"),
+            # no generators: the defect bound free_rank * 2^e
+            ("", 10**12, 13, "tower_poly(2, {e}) has degree 2^{e} (defect bound 1*2^{e})"),
         ],
         ids=["free", "distinguished", "no-generators"],
     )
     def test_invariants_counts_the_presentation_before_validation(
-        self, tmp_path, monkeypatch, generators, level
+        self, tmp_path, monkeypatch, generators, level, first_over, size
     ):
         calls = []
         validate = modules.validate_descent
@@ -227,19 +230,19 @@ class TestExitCodes:
         code, _, err = invariants_at(level)
         assert time.perf_counter() - start < 1
         assert code == 3
-        assert f"presentation needs 1 + 1*2^{level} rows, above the cap 4096" in err
+        assert size.format(e=level) in err
         assert calls == []
-        # 1 + 2^12 rows are one over the cap, 1 + 2^11 are within it
-        assert invariants_at(12)[0] == 3
-        assert invariants_at(11)[0] in (0, 2)
+        # the first level over the cap exits 3, the one below it does not
+        assert invariants_at(first_over)[0] == 3
+        assert invariants_at(first_over - 1)[0] in (0, 2)
 
     @pytest.mark.parametrize("level", [14, 20])
     def test_scenario_checks_the_cap_before_building_generators(self, monkeypatch, level):
         # 2^e dense monomials T^j: quadratic in 2^e, gigabytes from e = 14
         calls = []
-        build = scenarios._full_span_descent
+        build = scenarios._full_span_generators
         monkeypatch.setattr(
-            scenarios, "_full_span_descent", lambda *args: calls.append(args) or build(*args)
+            scenarios, "_full_span_generators", lambda *args: calls.append(args) or build(*args)
         )
         start = time.perf_counter()
         code, _, err = run("scenario", f"prop14:e={level}")

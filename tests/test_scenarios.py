@@ -6,8 +6,12 @@ import io
 import pytest
 
 from towergrowth import (
+    ElementaryModule,
+    GenericDescent,
     Grade,
     ParamTriple,
+    Scenario,
+    SpecialDescent,
     builtin_scenario,
     default_level_range,
     full_span_scenario,
@@ -17,7 +21,7 @@ from towergrowth import (
     order_sequence,
     replicated_full_span_scenario,
 )
-from towergrowth import cli
+from towergrowth import cli, scenarios
 from towergrowth.cli import run_command
 from towergrowth.scenarios import MirrorSide
 
@@ -51,6 +55,35 @@ class TestFullSpanScenarios:
     def test_replicated_requires_odd_prime(self):
         with pytest.raises(ValueError):
             replicated_full_span_scenario(2, 0)
+
+    def test_descent_is_built_on_first_read(self, monkeypatch):
+        calls = []
+        build = scenarios._full_span_generators
+        monkeypatch.setattr(
+            scenarios, "_full_span_generators", lambda *args: calls.append(args) or build(*args)
+        )
+        s = full_span_scenario(3)
+        assert calls == []
+        gens = s.descent.generators
+        assert len(gens) == 8 and s.descent.generators is gens
+        assert len(calls) == 1
+        # compared, hashed and replaced by the datum it builds
+        assert s == dataclasses.replace(full_span_scenario(3))
+        assert hash(s) == hash(full_span_scenario(3))
+        assert s != dataclasses.replace(full_span_scenario(2), name=s.name)
+
+    def test_descent_given_as_a_datum(self):
+        def make(descent):
+            module = ElementaryModule(prime=2, free_rank=1)
+            expected = ParamTriple(1, 0, 0, Grade.STRICT)
+            return Scenario("s", "d", module, descent=descent, expected=expected, n_min=1, n_max=4)
+
+        special = make(SpecialDescent())
+        assert special.descent == SpecialDescent()
+        assert special == make(lambda: SpecialDescent())
+        assert special != make(GenericDescent(level=0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            special.descent = GenericDescent(level=0)
 
     def test_level_zero_sequence_matches_closed_form(self):
         s = full_span_scenario(0)
