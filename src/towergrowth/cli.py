@@ -18,8 +18,11 @@ document with schema tag "towergrowth/1".  Exit codes: 0 success or PASS,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
+from pathlib import Path
 from typing import TextIO
 
 from .fitting import (
@@ -56,7 +59,7 @@ SCHEMA = "towergrowth/1"
 
 
 def _read_spec(path: str) -> RunSpec:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return parse_run(text)
 
 
@@ -357,7 +360,13 @@ def _cmd_mirror(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser for every call in this process, built on the first one.
+
+    parse_args leaves the parser unchanged and returns a fresh Namespace, so
+    sharing it carries no option value from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="towergrowth",
         description="Exact order growth along towers for elementary modules "
@@ -423,12 +432,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str], out: TextIO | None = None, err: TextIO | None = None) -> int:
-    """Run one CLI invocation; returns the exit code without exiting."""
+    """Run one CLI invocation; returns the exit code without exiting.
+
+    Everything the call prints, argparse's usage errors and --help included,
+    goes to ``out`` and ``err`` (the process's streams when not given).
+    """
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help to sys.stderr and sys.stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code or 0
         return code if isinstance(code, int) else 2

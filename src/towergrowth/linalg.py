@@ -131,12 +131,3 @@ def span_invariants(columns: list[list[int]], ell: int) -> tuple[int, int]:
     vals = divisor_valuations(list(zip(*columns)), ell, exponent)
     vals = [v for v in vals if v < exponent]
     return len(vals), sum(vals)
-
-
-def in_local_span(columns: list[list[int]], target: list[int], ell: int) -> bool:
-    """Whether target = W x is solvable with denominators prime to l.
-
-    columns are the generators W (each a vector); membership is decided by
-    comparing the span invariants of W and [W | target].
-    """
-    return span_invariants(columns, ell) == span_invariants([*columns, target], ell)

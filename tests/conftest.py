@@ -34,11 +34,22 @@ from towergrowth import (
     quotients,
     tower_poly,
 )
+from towergrowth.linalg import span_invariants
 from towergrowth.polynomials import ONE, ZERO
 
 CORPUS_SEED = 20260819
 CORPUS_SIZE = 110
 MAX_GENERATORS = 4
+
+
+def in_local_span(columns: list[list[int]], target: list[int], ell: int) -> bool:
+    """Whether target = W x is solvable with denominators prime to l.
+
+    columns are the generators W (each a vector); membership is decided by
+    comparing the span invariants of W and [W | target].  This is the
+    one-vector-at-a-time definition the batched validation is checked against.
+    """
+    return span_invariants(columns, ell) == span_invariants([*columns, target], ell)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -5,6 +5,7 @@ against the closed forms (see the sibling unit tests for the same numbers),
 so they pin both the math and the output format.
 """
 
+import argparse
 import io
 import json
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towergrowth import invariants, modules, order_valuation, parse_run, quotients, scenarios
+from towergrowth import cli, invariants, modules, order_valuation, parse_run, quotients, scenarios
 from towergrowth.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,18 +36,19 @@ def golden(name):
     return (GOLDEN / name).read_text()
 
 
+# one call of each subcommand and its golden text output
+GOLDEN_TEXT = [
+    (("orders", MIXED), "orders_mixed.txt"),
+    (("invariants", MIXED), "invariants_mixed.txt"),
+    (("fit", SPECIAL), "fit_special.txt"),
+    (("verify", SPECIAL), "verify_special.txt"),
+    (("scenario", "prop14:e=1"), "scenario_prop14.txt"),
+    (("mirror", "--level", "2"), "mirror_level2.txt"),
+]
+
+
 class TestGoldenText:
-    @pytest.mark.parametrize(
-        "argv,name",
-        [
-            (("orders", MIXED), "orders_mixed.txt"),
-            (("invariants", MIXED), "invariants_mixed.txt"),
-            (("fit", SPECIAL), "fit_special.txt"),
-            (("verify", SPECIAL), "verify_special.txt"),
-            (("scenario", "prop14:e=1"), "scenario_prop14.txt"),
-            (("mirror", "--level", "2"), "mirror_level2.txt"),
-        ],
-    )
+    @pytest.mark.parametrize("argv,name", GOLDEN_TEXT)
     def test_matches_golden(self, argv, name):
         code, out, err = run(*argv)
         assert code == 0
@@ -253,11 +255,83 @@ class TestExitCodes:
         assert run("scenario", "prop14:e=2")[0] == 0
         assert len(calls) == 1
 
-    def test_usage_error_is_two(self):
-        code, _, _ = run("orders")
+    def test_usage_error_is_two(self, capsys):
+        # argparse's message goes to the caller's err, not the process's stderr
+        code, out, err = run("orders")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: towergrowth orders")
+        assert "the following arguments are required: file" in err
+        code, out, err = run("orders", MIXED, "--k", "three")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: towergrowth orders")
+        assert "argument --k: invalid int value: 'three'" in err
+        code, _, err = run("mirror", "--left", "rho=1,mu=0,lam_tilde=0,defect=0,stable=1")
         assert code == 2
-        code, _, _ = run("mirror", "--left", "rho=1,mu=0,lam_tilde=0,defect=0,stable=1")
-        assert code == 2
+        assert err.startswith("error: mirror needs")
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "argv,usage",
+        [(("--help",), "usage: towergrowth [-h]"), (("orders", "--help"), "usage: towergrowth orders")],
+    )
+    def test_help_is_zero(self, capsys, argv, usage):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "argv,code,stream",
+        [(["orders"], 2, "err"), (["orders", "--help"], 0, "out")],
+    )
+    def test_main_prints_to_the_process_streams(self, monkeypatch, capsys, argv, code, stream):
+        monkeypatch.setattr(sys, "argv", ["towergrowth", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+        printed = capsys.readouterr()
+        assert getattr(printed, stream).startswith("usage: towergrowth orders")
+        assert getattr(printed, "out" if stream == "err" else "err") == ""
+
+
+class TestSharedParser:
+    """One parser serves every call in the process, and no call sees another's options."""
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            if parser.prog == "towergrowth":
+                built.append(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        try:
+            for argv, name in GOLDEN_TEXT * 4:
+                assert run(*argv) == (0, golden(name), "")
+        finally:
+            cli._build_parser.cache_clear()
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "first,first_code,second,name",
+        [
+            (("orders", MIXED, "--k", "3", "--json"), 0, ("orders", MIXED), "orders_mixed.txt"),
+            (
+                ("scenario", "prop14:e=1", "--n-max", "9"),
+                0,
+                ("scenario", "prop14:e=1"),
+                "scenario_prop14.txt",
+            ),
+            (("orders", MIXED, "--cap", "64"), 3, ("orders", MIXED), "orders_mixed.txt"),
+        ],
+        ids=["k-and-json", "window", "cap"],
+    )
+    def test_no_option_carries_over(self, first, first_code, second, name):
+        assert run(*first)[0] == first_code
+        assert run(*second) == (0, golden(name), "")
 
 
 class TestStdinAndOverrides:

@@ -18,12 +18,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towergrowth.linalg import (
-    divisor_valuations,
-    ell_valuation,
-    in_local_span,
-    span_invariants,
-)
+from towergrowth.linalg import divisor_valuations, ell_valuation, span_invariants
+
+from conftest import in_local_span
 
 
 class TestEllValuation:

@@ -27,11 +27,10 @@ from towergrowth import (
     validate_descent,
     zero_element,
 )
-from towergrowth.linalg import in_local_span
 from towergrowth.modules import canonicalize, require_valid
 from towergrowth.polynomials import T, ZERO, monomial
 
-from conftest import build_generic_case
+from conftest import build_generic_case, in_local_span
 
 
 def _gen(*coeff_lists):
