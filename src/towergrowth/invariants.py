@@ -13,7 +13,7 @@ has bounded spread.
 
 The generic case subtracts a codescent defect from the distinguished-degree
 invariant: the rank over Q of the descent generators' free coordinates in
-E / tower_poly(l, e)·E, read from the free blocks of the presentation that
+E / tower_poly(l, e)·E, read from the free blocks of the memoised matrix that
 validation uses, one elimination with ``span_invariants``.  For valid
 data this equals the per-factor count of the paper, the sum over the
 irreducible factors c of tower_poly(l, e) of deg(c) times the rank over the
@@ -34,7 +34,6 @@ from .modules import (
     GenericDescent,
     LPower,
     _presentation,
-    _stack,
     classify_case,
 )
 
@@ -110,9 +109,9 @@ def codescent_defect(module: ElementaryModule, descent: DescentDatum) -> int:
     if classify_case(module, descent) is not CaseTag.GENERIC:
         return 0
     assert isinstance(descent, GenericDescent)
-    blocks = _presentation(module, descent.generators, descent.level)
-    _, columns = _stack({i: b for i, b in blocks.items() if i < module.free_rank})
-    return span_invariants(columns, module.prime.value)[0]
+    layout, _, columns = _presentation(module, descent)
+    stop = sum(m.degree for idx, _, m in layout if idx < module.free_rank)  # free blocks first
+    return span_invariants([col[:stop] for col in columns], module.prime.value)[0]
 
 
 def defect_bound(module: ElementaryModule, descent: DescentDatum) -> int:

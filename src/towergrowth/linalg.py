@@ -26,6 +26,9 @@ smallest column index.  Any pivot rule gives the same multiset of valuations.
 
 from __future__ import annotations
 
+import math
+import operator
+
 
 def ell_valuation(x: int, ell: int) -> int:
     """Exponent of l in x, for x != 0."""
@@ -100,13 +103,12 @@ def divisor_valuations(rows: list[list[int]], ell: int, exponent: int) -> list[i
 
 def _norm_exponent(column: list[int], ell: int) -> int:
     """Least k with l^k >= the Euclidean norm of the column."""
-    square = sum(x * x for x in column)
-    k = 0
-    power = 1
-    while power * power < square:
-        power *= ell
-        k += 1
-    return k
+    square = sum(map(operator.mul, column, column))
+    # least m with l^m >= square, from a bit-length estimate below it by at most 3
+    m = max(int(square.bit_length() / math.log2(ell)) - 2, 0)
+    while ell**m < square:
+        m += 1
+    return (m + 1) // 2
 
 
 def span_invariants(columns: list[list[int]], ell: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ images inside E / tower_poly(l, e)·E.  ``validate_descent`` decides this
 exactly and produces a witness when it fails.
 
 Validation, the codescent defect and the level-n quotients all read one
-presentation of E / tower_poly(l, e)·E by integer blocks, ``_presentation``.
+memoised integer matrix of E / tower_poly(l, e)·E, ``_presentation``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .polynomials import (
     as_prime,
     is_distinguished,
     multiplication_matrix,
+    residue,
     tower_poly,
 )
 
@@ -176,7 +177,7 @@ def canonicalize(module: ElementaryModule, element: ModuleElement) -> ModuleElem
         if isinstance(factor, LPower):
             reduced.append(coord.reduce_coeffs(ell**factor.exponent))
         else:
-            reduced.append(coord % factor.poly)
+            reduced.append(IntPoly(residue(coord.coeffs, factor.poly)))
     return ModuleElement(element.free_coords, tuple(reduced))
 
 
@@ -199,60 +200,52 @@ def _check_shape(module: ElementaryModule, element: ModuleElement) -> None:
         )
 
 
-_Block = tuple[IntPoly, IntPoly | None, list[IntPoly]]
+def _block_coordinates(module: ElementaryModule, generators: Sequence[ModuleElement]) -> list[int]:
+    """The coordinates with a block: each distinguished one, and each free or
+    Lambda/(l^m) one in which some generator is nonzero."""
+    return [
+        idx
+        for idx, factor in enumerate((None,) * module.free_rank + module.torsion_factors)
+        if isinstance(factor, DistinguishedFactor) or any(g.coords[idx].coeffs for g in generators)
+    ]
 
 
-def _presentation(
-    module: ElementaryModule, elements: Sequence[ModuleElement], level: int
-) -> dict[int, _Block]:
-    """E / tower_poly(l, e)·E as blocks per coordinate, with the elements' parts.
+@functools.lru_cache(maxsize=16)
+def _presentation(module: ElementaryModule, descent: DescentDatum) -> tuple:
+    """E / tower_poly(l, e)·E by integer blocks: (layout, relations, columns).
 
-    A block (modulus, relation, parts) is Z[T]/(modulus), free on the powers
-    of T below deg(modulus), cut by the relation; parts are the elements'
-    polynomials there, reduced mod the modulus.  Lambda/(P) is Z[T]/(P) cut by
-    omega_e = tower_poly(l, e), deg P rows by Weierstrass preparation.  A free
-    or Lambda/(l^m) coordinate in which some element is nonzero is
-    Z[T]/(omega_e), cut by l^m (free: no relation); the others get no block.
+    The layout lists (coordinate, first row, modulus) per block: Z[T]/(modulus)
+    on the powers of T below deg(modulus), cut by its relation columns.
+    Lambda/(P) is Z[T]/(P) cut by omega_e = tower_poly(l, e), deg P rows by
+    Weierstrass preparation; a free or Lambda/(l^m) coordinate of
+    ``_block_coordinates`` is Z[T]/(omega_e) cut by l^m (free: uncut).  Each
+    generator is one column of ``residue`` parts; without generators e is 0.
+    Memoised, and no caller changes a column in place.
     """
-    omega = tower_poly(module.prime, level)
-    factors = (None,) * module.free_rank + module.torsion_factors
-    blocks = {}
-    for idx, factor in enumerate(factors):
-        coords = [el.coords[idx] for el in elements]
-        if isinstance(factor, DistinguishedFactor):
-            modulus, relation = factor.poly, omega
-        elif any(not c.is_zero for c in coords):
-            modulus, relation = omega, None
-            if isinstance(factor, LPower):
-                relation = IntPoly((module.prime.value**factor.exponent,))
-        else:
-            continue
-        blocks[idx] = (modulus, relation, [c % modulus for c in coords])
-    return blocks
-
-
-def _stack(blocks: dict[int, _Block]) -> tuple[list[list[int]], list[list[int]]]:
-    """Relation columns T^j·relation mod modulus, then one column per element."""
-    sizes = [modulus.degree for modulus, _, _ in blocks.values()]
-    relations = [
-        [0] * sum(sizes[:i]) + part + [0] * sum(sizes[i + 1 :])
-        for i, (modulus, relation, _) in enumerate(blocks.values())
-        if relation is not None
-        for part in multiplication_matrix(relation.coeffs, modulus)
-    ]
-    elements = [
-        [p.coeff(i) for (m, _, _), p in zip(blocks.values(), parts) for i in range(m.degree)]
-        for parts in zip(*(parts for _, _, parts in blocks.values()))
-    ]
-    return relations, elements
+    gens = descent.generators if isinstance(descent, GenericDescent) else ()
+    omega = tower_poly(module.prime, descent.level if gens else 0)
+    ell, factors = module.prime.value, (None,) * module.free_rank + module.torsion_factors
+    layout, relations, rows = [], [], 0
+    for idx in _block_coordinates(module, gens):
+        factor = factors[idx]
+        modulus = factor.poly if isinstance(factor, DistinguishedFactor) else omega
+        if factor is not None:  # cut by omega_e or l^m; a free block is uncut
+            cut = (ell**factor.exponent,) if isinstance(factor, LPower) else omega.coeffs
+            relations += [(rows, part) for part in multiplication_matrix(cut, modulus)]
+        layout.append((idx, rows, modulus))
+        rows += modulus.degree
+    relations = [[*[0] * i, *part, *[0] * (rows - i - len(part))] for i, part in relations]
+    columns = [[x for i, _, m in layout for x in residue(g.coords[i].coeffs, m)] for g in gens]
+    return tuple(layout), relations, columns
 
 
 def validate_descent(module: ElementaryModule, descent: DescentDatum) -> ValidationReport:
     """Decide Λ-stability of the descent datum.
 
     Special data and generator-free generic data are always valid.  For each
-    generator y the image of T·y must lie in the l-local span of the Y images
-    and the torsion relations in ``_presentation``.  All images are tested at
+    generator y the image of T·y, one fold step on its column of
+    ``_presentation``, must lie in the l-local span of the generator and
+    relation columns there.  All images are tested at
     once; only on failure are they tested one by one against the span's
     invariants from that comparison, and the first failing T·y is the
     witness.  Reports are memoised on the frozen arguments behind this plain
@@ -271,9 +264,12 @@ def _validate_descent(module: ElementaryModule, descent: DescentDatum) -> Valida
         _check_shape(module, gen)
     if not gens:
         return ValidationReport(True, detail="no generators: trivial case")
-    blocks = _presentation(module, [*gens, *(g.times_t() for g in gens)], descent.level)
-    relations, columns = _stack(blocks)
-    span, images = columns[: len(gens)] + relations, columns[len(gens) :]
+    layout, relations, columns = _presentation(module, descent)
+    images = [  # T·y: one more fold step on each block part
+        [x for _, i, m in layout for x in residue((0, *col[i : i + m.degree]), m)]
+        for col in columns
+    ]
+    span = columns + relations
     ell = module.prime.value
     base = span_invariants(span, ell)
     if base != span_invariants(span + images, ell):

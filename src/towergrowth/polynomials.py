@@ -13,10 +13,10 @@ division.  Ratios of tower polynomials and their irreducible factors (T and
 the level ratios) are what every quotient construction downstream reduces by.
 
 Arithmetic in Z[T]/(c) for a monic c, optionally mod an integer q, has one
-primitive: ``multiplication_matrix``, built by the companion action of T.
-It reduces a polynomial mod c, gives the relation columns of the quotient
-presentations, and is every product in ``tower_residues``, which reaches
-nu_{n,e} mod (c, q) without the l^n coefficients of the exact ratio.
+primitive: the companion fold of T, ``residue``, and ``multiplication_matrix``
+built from it.  It reduces every generator part, gives the relation columns,
+and is every product in ``tower_residues``, which reaches nu_{n,e} mod (c, q)
+without the l^n coefficients of the exact ratio.
 """
 
 from __future__ import annotations
@@ -339,8 +339,8 @@ def tower_residues(
     if e < 0 or n < e:
         raise ValueError(f"need 0 <= e <= n, got e={e}, n={n}")
     q = modulus_int
-    ratio = multiplication_matrix((1,), modulus_poly, q)[0]
-    u = multiplication_matrix((1, 1), modulus_poly, q)[0]
+    ratio = residue((1,), modulus_poly, q)
+    u = residue((1, 1), modulus_poly, q)
     for i in range(n):
         rows = [*zip(*multiplication_matrix(u, modulus_poly, q))]
         terms = [ratio]  # ratio * u_i^j for j < l, summed into the factor
@@ -352,31 +352,40 @@ def tower_residues(
     return ratio
 
 
-def multiplication_matrix(p: Sequence[int], c: IntPoly, q: int | None = None) -> list[list[int]]:
-    """Multiplication by p on Z[T]/(c), as the columns (T^j * p) mod c, j < deg(c).
+def residue(p: Sequence[int], c: IntPoly, q: int | None = None) -> list[int]:
+    """p mod c for a monic c, deg(c) coefficients low degree first, in [0, q) given q.
 
-    p is a coefficient sequence, low degree first, of any length; c must be
-    monic.  Each column lists deg(c) coefficients, low degree first, reduced
-    into [0, q) when an integer modulus q is given.  Everything, p mod c
-    included, comes from the companion action of T, which folds
-    T^deg(c) = -(low part of c) back in: this is the one product on
-    Z[T]/(c) in the package.
+    p lists coefficients low degree first, of any length.  The companion
+    fold runs Horner from the top deg(c) of them down, col = T * col + a,
+    where T * col folds T^deg(c) = -(low part of c) back in, a plain shift
+    when the top of col is 0.  So ``residue((0, *r), c)`` is T * r mod c.
+
+    >>> residue((0, 0, 0, 1), IntPoly((2, 0, 1)))  # T^3 = -2T
+    [0, -2]
+    """
+    if not c.is_monic:
+        raise ValueError("polynomial modulus must be monic")
+    d, low = c.degree, c.coeffs[:-1]
+    split = max(len(p) - d, 0)
+    col = [x if q is None else x % q for x in [*p[split:], *[0] * (d - len(p) + split)]]
+    for a in reversed(p[:split]):
+        top, col = col[-1], [a if q is None else a % q, *col[:-1]]
+        if top:
+            col = [x - top * b for x, b in zip(col, low)]
+            col = col if q is None else [x % q for x in col]
+    return col
+
+
+def multiplication_matrix(p: Sequence[int], c: IntPoly, q: int | None = None) -> list[list[int]]:
+    """Multiplication by p on Z[T]/(c), as the columns (T^j * p) mod c, j < deg(c):
+    ``residue(p, c, q)``, then deg(c) - 1 more steps of its fold.
 
     >>> multiplication_matrix((1, 1), IntPoly((2, 0, 1)))
     [[1, 1], [-2, 1]]
     >>> multiplication_matrix((0, 0, 0, 1), IntPoly((2, 0, 1)), 8)  # T^3 = -2T
     [[0, 6], [4, 0]]
     """
-    if not c.is_monic:
-        raise ValueError("polynomial modulus must be monic")
-    d, low = c.degree, c.coeffs[:-1]
-    # Horner from the top d coefficients down, col = T * col + a, then the
-    # shifts T^j * (p mod c); the last d columns are the matrix
-    split = max(len(p) - d, 0)
-    col = [*p[split:], *[0] * (d - len(p) + split)]
-    columns = [col if q is None else [x % q for x in col]]
-    for a in [*reversed(p[:split]), *[0] * (d - 1)]:
-        top = columns[-1][-1]
-        col = [x - top * b for x, b in zip([a, *columns[-1][:-1]], low)]
-        columns.append(col if q is None else [x % q for x in col])
-    return columns[-d:]
+    columns = [residue(p, c, q)]
+    for _ in range(c.degree - 1):
+        columns.append(residue((0, *columns[-1]), c, q))
+    return columns

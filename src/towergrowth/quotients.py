@@ -7,10 +7,9 @@ At level n with exponent shift k the quotient is
 where omega_n = tower_poly(l, n), nu = nu_{n,e} = omega_n / omega_e and Y is
 the span of the descent generators (generic case; the special case instead
 adds one full Z/l^N summand on top of the generator-free quotient).  The
-generators' presentation at level e (level 0, relation omega_0 = T, without
-generators) from ``modules._presentation`` is stacked once per window into
-one matrix, relation columns then one column per generator, and level n is
-one product with it; no block grows with n:
+level-e matrix of ``modules._presentation`` (level 0 without generators),
+relation columns then one column per generator, is built once per datum,
+and level n is one product with it; no block grows with n:
 
 * the rows of a distinguished block Z[T]/(P) are multiplied by
   M(nu mod (P, l^N)), the ``multiplication_matrix`` of ``tower_residues``:
@@ -52,8 +51,8 @@ from .modules import (
     GenericDescent,
     LPower,
     SpecialDescent,
+    _block_coordinates,
     _presentation,
-    _stack,
     require_valid,
 )
 from .polynomials import (
@@ -163,16 +162,15 @@ def check_caps(module: ElementaryModule, n_min: int, n_max: int, k: int, cap: in
 
 def check_presentation(module: ElementaryModule, descent: DescentDatum, cap: int) -> None:
     """The level-e data of generic descent against the cap, before validation
-    builds them.  ``_presentation`` has the same blocks at every level: deg P
-    rows for a distinguished one, l^e for any other (one row at level 0).
-    With no other block, tower_poly(l, e) and the defect bound free_rank * l^e
-    still have size l^e."""
+    builds them: deg P rows per distinguished block and l^e per other one of
+    ``modules._block_coordinates``.  With no other block, tower_poly(l, e) and
+    the defect bound free_rank * l^e still have size l^e."""
     if not isinstance(descent, GenericDescent):
         return
     ell, e = module.prime.value, descent.level
     distinguished = [f for f in module.torsion_factors if isinstance(f, DistinguishedFactor)]
     degree = sum(f.poly.degree for f in distinguished)
-    grown = len(_presentation(module, descent.generators, 0)) - len(distinguished)
+    grown = len(_block_coordinates(module, descent.generators)) - len(distinguished)
     if grown:
         over = _first_level_over(ell, grown, cap - degree)
         size = f"the level-{e} presentation needs {degree} + {grown}*{ell}^{e} rows"
@@ -190,24 +188,19 @@ def _quotients(
     """{valuation: multiplicity} of the level-n quotient for n_min <= n <= n_max.
 
     The levels, the caps and the datum are checked before any arithmetic.
-    The level-e matrix is built once; each level multiplies the rows of every
-    distinguished block by M(nu_{n,e} mod (P, l^N)) and reduces mod l^N.
+    Each level multiplies the rows of every distinguished block of the
+    level-e matrix by M(nu_{n,e} mod (P, l^N)) and reduces mod l^N.
     """
     _check_levels(descent, n_min, k)
     check_caps(module, n_min, n_max, k, cap)
     require_valid(module, descent)
-    gens = descent.generators if isinstance(descent, GenericDescent) else ()
-    e = descent.level if gens else 0
-    blocks = _presentation(module, gens, e)
-    relations, elements = _stack(blocks)
+    e = descent.level if isinstance(descent, GenericDescent) and descent.generators else 0
+    layout, relations, generators = _presentation(module, descent)
     ell = module.prime.value
     factors = (None,) * module.free_rank + module.torsion_factors
-    sizes = [modulus.degree for modulus, _, _ in blocks.values()]
-    lifts = [  # (first row, P) of each distinguished block
-        (sum(sizes[:i]), modulus)
-        for i, (idx, (modulus, _, _)) in enumerate(blocks.items())
-        if isinstance(factors[idx], DistinguishedFactor)
-    ]
+    rows = {idx: modulus.degree for idx, _, modulus in layout}
+    # (first row, P) of each distinguished block
+    lifts = [(i, m) for idx, i, m in layout if isinstance(factors[idx], DistinguishedFactor)]
     for n in range(n_min, n_max + 1):
         exponent = n + k
         q = ell**exponent
@@ -216,8 +209,8 @@ def _quotients(
             if not isinstance(factor, DistinguishedFactor):
                 # a block is the rank-l^e summand (module docstring); the rest splits off
                 cut = exponent if factor is None else min(factor.exponent, exponent)
-                counts[cut] += ell**n - (ell**e if idx in blocks else 0)
-        columns = [[x % q for x in col] for col in relations + elements]
+                counts[cut] += ell**n - rows.get(idx, 0)
+        columns = [[x % q for x in col] for col in [*relations, *generators]]
         for start, modulus in lifts:
             stop = start + modulus.degree
             nu = [*zip(*multiplication_matrix(tower_residues(ell, n, e, modulus, q), modulus, q))]
@@ -229,7 +222,7 @@ def _quotients(
         if columns:
             counts.update(divisor_valuations(list(zip(*columns)), ell, exponent))
         else:
-            counts[exponent] += sum(sizes)
+            counts[exponent] += sum(rows.values())
         if isinstance(descent, SpecialDescent):
             counts[exponent] += 1
         del counts[0]  # unit divisors

@@ -11,6 +11,7 @@ Fixed cases were reduced by hand first.
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towergrowth.linalg import divisor_valuations, ell_valuation, span_invariants
+from towergrowth.linalg import _norm_exponent, divisor_valuations, ell_valuation, span_invariants
 
 from conftest import in_local_span
 
@@ -66,6 +67,30 @@ class TestSpanInvariants:
         # one column (2, 0); one row (6 4), that is the columns (6) and (4)
         assert span_invariants([[2, 0]], 2) == (1, 1)
         assert span_invariants([[6], [4]], 2) == (1, 1)
+
+
+def _norm_exponent_by_powers(column, ell):
+    """Least k with l^(2k) >= the squared norm, by multiplying up to it."""
+    square = sum(x * x for x in column)
+    k, power = 0, 1
+    while power * power < square:
+        power, k = power * ell, k + 1
+    return k
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_norm_exponent_matches_multiplying_up(ell):
+    rng = random.Random(9000 + ell)
+    columns = [[], [0], [0, 0, 0], [1], [0, -1, 0], [1, 1], [ell], [ell, ell]]
+    columns += [[ell**j + d] for j in range(1, 200) for d in (-1, 0, 1)]
+    columns += [[ell**j, ell**j] for j in range(1, 200)]
+    for _ in range(300):
+        bound = 10 ** rng.randint(0, 40)
+        columns.append([rng.randint(-bound, bound) for _ in range(rng.randint(1, 8))])
+    for _ in range(100):
+        columns.append([rng.randint(-(2**2000), 2**2000) for _ in range(rng.randint(1, 4))])
+    for col in columns:
+        assert _norm_exponent(col, ell) == _norm_exponent_by_powers(col, ell), col
 
 
 class TestInLocalSpan:

@@ -20,6 +20,7 @@ from towergrowth.polynomials import (
     is_distinguished,
     monomial,
     multiplication_matrix,
+    residue,
     tower_poly,
     tower_ratio,
     tower_residues,
@@ -208,6 +209,51 @@ class TestMultiplicationMatrix:
         assert multiplication_matrix(coeffs, c, q) == [
             _residue(p.shift(j), c, q) for j in range(c.degree)
         ]
+
+
+class TestResidue:
+    """The companion fold p mod (c, q), against IntPoly long division."""
+
+    @staticmethod
+    def _moduli():
+        # the irreducible factors of tower polynomials, and random distinguished P
+        rng = random.Random(1701)
+        for ell in (2, 3, 5):
+            yield ell, list(cyclotomic_factors(ell, 3))
+            yield ell, [_distinguished(rng, ell, rng.randint(1, 6)) for _ in range(8)]
+
+    @pytest.mark.parametrize("q", [None, "l^3", "2^70"])
+    def test_matches_long_division(self, q):
+        rng = random.Random(2207)
+        checked = 0
+        for ell, moduli in self._moduli():
+            modulus_int = {None: None, "l^3": ell**3, "2^70": 2**70}[q]
+            for c in moduli:
+                # p shorter than, as long as and longer than deg c
+                for length in (0, 1, c.degree, c.degree + 1, 2 * c.degree + 5):
+                    coeffs = tuple(rng.randint(-(10**9), 10**9) for _ in range(length))
+                    expected = _residue(IntPoly(coeffs), c, modulus_int)
+                    assert residue(coeffs, c, modulus_int) == expected, (c, coeffs)
+                    checked += 1
+        assert checked > 150
+
+    def test_zero_tops_are_plain_shifts(self):
+        # T^j for j < deg c needs no fold; T^deg c is -(low part)
+        c = tower_poly(3, 2)
+        for j in range(c.degree):
+            assert residue(monomial(j).coeffs, c) == [0] * j + [1] + [0] * (8 - j)
+        assert residue(monomial(9).coeffs, c) == [-a for a in c.coeffs[:-1]]
+
+    def test_one_step_is_multiplication_by_t(self):
+        rng = random.Random(5)
+        c = _distinguished(rng, 3, 4)
+        r = residue(tuple(rng.randint(-50, 50) for _ in range(11)), c)
+        assert residue((0, *r), c) == _residue(IntPoly(tuple(r)).shift(1), c)
+        assert multiplication_matrix(r, c)[1] == residue((0, *r), c)
+
+    def test_requires_monic_modulus(self):
+        with pytest.raises(ValueError):
+            residue((1, 2, 3), IntPoly((0, 2)))
 
 
 # exact references have l^n coefficients of up to l^n bits, so n stops at

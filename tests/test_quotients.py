@@ -5,6 +5,7 @@ Frozen group shapes below were computed by hand: write the ambient as
 matrix to diagonal form on paper. Small cases only, so this is tractable.
 """
 
+import io
 import random
 import time
 import tracemalloc
@@ -25,13 +26,15 @@ from towergrowth import (
     OrderSequence,
     SpecialDescent,
     builtin_scenario,
+    codescent_defect,
     enumeration_oracle,
     order_sequence,
     order_valuation,
     parse_run,
     quotient_group,
 )
-from towergrowth import modules, quotients
+from towergrowth import modules
+from towergrowth.cli import run_command
 
 from conftest import build_generic_case
 
@@ -231,34 +234,47 @@ class TestCaps:
             enumeration_oracle(LAMBDA, TRIVIAL, 40)
         assert time.perf_counter() - start < 0.1
 
-    def test_presentation_built_once_per_window(self, monkeypatch):
-        calls = []
-        for attr in ("_presentation", "_stack"):
-            original = getattr(quotients, attr)
-            monkeypatch.setattr(
-                quotients, attr, lambda *args, f=original: calls.append(f) or f(*args)
-            )
-        run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
-        order_sequence(run.module, run.descent, 1, 4)
-        assert len(calls) == 2
+    @pytest.mark.parametrize("command", ["verify", "fit", "invariants", "scenario"])
+    def test_presentation_built_once_per_command(self, tmp_path, command):
+        # validation, the defect and the quotients all read one memoised build
+        run = tmp_path / "level_one.run"
+        run.write_text(
+            "[prime]\nl = 2\n[module]\nfree_rank = 1\npoly = [2, 1]\n"
+            "[descent]\nkind = generic\ne = 1\ngenerator = [[1], [0]]\n"
+            "generator = [[0, 1], [0]]\n[run]\nn_min = 2\nn_max = 5\nk = 0\n",
+            encoding="utf-8",
+        )
+        modules._validate_descent.cache_clear()
+        modules._presentation.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        target = "prop14:e=3" if command == "scenario" else str(run)
+        code = run_command([command, target], out, err)
+        assert code in (0, 1), err.getvalue()
+        assert modules._presentation.cache_info().misses == 1
 
     def test_levels_run_no_intpoly_arithmetic(self, monkeypatch):
-        # each level is the level-e matrix times M(nu): IntPoly products and
-        # divisions run only while the presentation is built, once per window
+        # the level-e matrix is reduced by the companion fold and each level is
+        # that matrix times M(nu): with the memos cleared, validation, the
+        # defect and the quotients run no IntPoly product or division
+        rng = random.Random(7003)
+        draws = [build_generic_case(rng, 3) for _ in range(30)]
+        cases = [(c.module, c.descent) for c in draws if c.descent.level >= 1][:10]
+        assert len(cases) == 10
+        run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
         calls = []
         for attr in ("__mul__", "__divmod__"):
             original = getattr(IntPoly, attr)
             monkeypatch.setattr(
                 IntPoly, attr, lambda *args, f=original: calls.append(f) or f(*args)
             )
-        run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
-        order_sequence(run.module, run.descent, 1, 1)  # validation, memoised
-        counts = []
-        for n_max in (1, 8):
-            calls.clear()
-            order_sequence(run.module, run.descent, 1, n_max, k=3)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+        for module, descent in [(run.module, run.descent), *cases]:
+            modules._validate_descent.cache_clear()
+            modules._presentation.cache_clear()
+            assert modules.validate_descent(module, descent).valid
+            codescent_defect(module, descent)
+            n_min = descent.level + 1
+            order_sequence(module, descent, n_min, n_min + 2, k=3, dimension_cap=10**6)
+        assert calls == []
 
 
 class TestEnumerationAgreement:
