@@ -3,13 +3,21 @@
 ``divisor_valuations`` computes the cyclic decomposition of
 Z^D / (column lattice + l^N Z^D).  The l^N identity columns are never
 materialized: unimodular row operations preserve l^N Z^D inside the lattice,
-which licenses reducing every entry mod l^N throughout, and at the end a
-pivoted row contributes Z/gcd(d, l^N) while an unpivoted row contributes
-Z/l^N.  Because the pivot is always a minimal-valuation entry of the
-remaining submatrix it divides everything there modulo l^N, so a single
+so every entry only matters modulo l^N, and at the end a pivoted row
+contributes Z/gcd(d, l^N) while an unpivoted row contributes Z/l^N.
+
+The kernel is sparse.  Each row is a ``{column: residue}`` dict of its
+nonzero entries, and an index from each column to the live rows holding it
+lets a pivot touch only the rows of its column.  Elimination runs in phases
+of one valuation v at a time, on entries divided by l^v modulo q = l^(N-v):
+the pivot is a unit entry of the shortest live row that has one, and once
+no unit is left every entry is divisible by l, so all are divided by l, q
+shrinks by l and v grows by one.  The pivot thus always has minimal
+valuation in the remaining submatrix and divides everything there, so one
 clearing pass per pivot suffices and the diagonal comes out with
-nondecreasing valuations.  No entry ever reaches l^N, so coefficients cannot
-grow however long the elimination runs.
+nondecreasing valuations; any pivot of minimal valuation gives the same
+multiset.  Entries and multipliers are kept in (-q, q) and reduced only
+when they leave it, so a -1 stays -1 while nothing grows past q.
 
 ``span_invariants`` runs the same kernel at a precision N chosen past the
 l-valuation of every nonzero elementary divisor of an integer matrix, so the
@@ -19,15 +27,15 @@ determinant).  For nested spans, equality of those two numbers is equivalent
 to equality of the l-local spans, so membership reduces to comparing them for
 W and [W | v], and a whole batch of vectors can be tested at once against
 [W | v_1 ... v_m].
-
-Pivot rule: minimal l-valuation first, ties broken by smallest row then
-smallest column index.  Any pivot rule gives the same multiset of valuations.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
+from itertools import compress, count
 
 
 def ell_valuation(x: int, ell: int) -> int:
@@ -46,59 +54,91 @@ def divisor_valuations(rows: list[list[int]], ell: int, exponent: int) -> list[i
     """Valuations of the cyclic factors of Z^D / (columns + l^N Z^D).
 
     ``rows`` is the relation matrix (one row per ambient coordinate, one
-    column per relation).  Returns one value in [0, exponent] per ambient
-    coordinate: min(v_l(d), N) for a pivoted row with diagonal d, N for a row
-    the relations never reach.  Zero entries (unit divisors) are kept; the
+    column per relation); it is read, never changed.  Returns one value in
+    [0, exponent] per ambient coordinate: min(v_l(d), N) for a pivoted row
+    with diagonal d, in nondecreasing order, then N for each row the
+    relations never reach.  Zero entries (unit divisors) are kept; the
     caller drops them when building a group.
 
     >>> divisor_valuations([[2, 0], [0, 12], [0, 0]], 2, 5)
     [1, 2, 5]
+
+    With no unit entry the whole matrix is divided by l first (det -8):
+
+    >>> divisor_valuations([[2, 4], [6, 8]], 2, 5)
+    [1, 2]
     """
     if exponent < 1:
         raise ValueError("exponent must be at least 1")
     q = ell**exponent
-    a = [[x % q for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
+    live: dict[int, dict[int, int]] = {}
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for i, row in enumerate(rows):
+        entries = {}
+        # compress skips the zeros without a Python-level test per cell
+        for j in compress(count(), row):
+            x = row[j]
+            if -q < x < q or (x := x % q):
+                entries[j] = x
+        if entries:
+            live[i] = entries
+            for j in entries:
+                holders[j].add(i)
+    # (length, row) of every live row whose entries changed since it was
+    # last found to hold no unit; stale lengths are skipped when popped
+    queue = [(len(entries), i) for i, entries in live.items()]
+    heapify(queue)
     diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        # An entry beats the best so far only if the best's power of l does
-        # not divide it, so valuations are computed only on improvement and
-        # the scan ends at the first unit.
-        best = None
-        best_v = exponent
-        bound = q
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                if row[j] % bound:
-                    best_v = ell_valuation(row[j], ell)
-                    best, bound = (i, j), ell**best_v
-                    if best_v == 0:
-                        break
-            if best_v == 0:
-                break
-        if best is None:
-            break
-        pi, pj = best
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a[t:]:
-                row[t], row[pj] = row[pj], row[t]
+    shift = 0
+    while live:
+        while queue:
+            size, p = heappop(queue)
+            pivot = live.get(p)
+            if pivot is not None and len(pivot) == size:
+                c = next((j for j, x in pivot.items() if x % ell), None)
+                if c is not None:
+                    break
+        else:
+            # no unit left: every live entry is divisible by l
+            shift += 1
+            q //= ell
+            for entries in live.values():
+                for j in entries:
+                    entries[j] //= ell
+            queue = [(len(entries), i) for i, entries in live.items()]
+            heapify(queue)
+            continue
         # The pivot row is never read again and column operations against it
-        # would change only that row, so only the rows below are cleared.
-        pivot = a[t][t:]
-        inv_u = pow(pivot[0] // bound, -1, q)
-        for i in range(t + 1, m):
-            x = a[i][t]
-            if x:
-                f = (x // bound) * inv_u % q
-                a[i][t:] = [(y - f * z) % q for y, z in zip(a[i][t:], pivot)]
-        diag.append(best_v)
-        t += 1
-    return diag + [exponent] * (m - t)
+        # would change only that row, so only the other rows of column c are
+        # cleared.
+        del live[p]
+        for j in pivot:
+            holders[j].discard(p)
+        inv = pow(pivot.pop(c), -1, q)
+        if inv > q >> 1:
+            inv -= q
+        for i in holders.pop(c):
+            entries = live[i]
+            f = entries.pop(c) * inv
+            if not -q < f < q:
+                f %= q
+            for j, z in pivot.items():
+                y = entries.get(j, 0) - f * z
+                if not -q < y < q:
+                    y %= q
+                if y:
+                    if j not in entries:
+                        holders[j].add(i)
+                    entries[j] = y
+                elif j in entries:
+                    del entries[j]
+                    holders[j].discard(i)
+            if entries:
+                heappush(queue, (len(entries), i))
+            else:
+                del live[i]
+        diag.append(shift)
+    return diag + [exponent] * (len(rows) - len(diag))
 
 
 def _norm_exponent(column: list[int], ell: int) -> int:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 
 from .modules import (
     DescentDatum,
@@ -87,7 +88,25 @@ def _parse_int(value: str, line: int, key: str) -> int:
         raise ScenarioParseError(line, f"{key} needs an integer, got {value!r}") from None
 
 
+def _is_int_list(value: object) -> bool:
+    return type(value) is list and all(type(x) is int for x in value)
+
+
 def _literal(value: str, line: int, message: str) -> object:
+    # json.loads is the fast path for the common case, but it reads true,
+    # NaN and 1e3 as values literal_eval rejects or types differently, and
+    # accepts a newline before or after the brackets where literal_eval
+    # sees an indent.  So only a bracketed list of ints and of int lists is
+    # taken from it; anything else goes to literal_eval, which decides every
+    # other value and every message.
+    if value.startswith("[") and value.endswith("]"):
+        try:
+            parsed = json.loads(value)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if all(type(x) is int or _is_int_list(x) for x in parsed):
+                return parsed
     try:
         return ast.literal_eval(value)
     except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):

@@ -1,4 +1,5 @@
-"""Shared fixtures: a seeded corpus of randomized valid generic descent data.
+"""Shared fixtures: a seeded corpus of randomized valid generic descent data,
+and the reference definitions the program's faster routes are checked against.
 
 The corpus is built constructively so that validity is guaranteed by design,
 not by rejection alone.  At level e the tower polynomial factors into
@@ -34,7 +35,7 @@ from towergrowth import (
     quotients,
     tower_poly,
 )
-from towergrowth.linalg import span_invariants
+from towergrowth.linalg import ell_valuation, span_invariants
 from towergrowth.polynomials import ONE, ZERO
 
 CORPUS_SEED = 20260819
@@ -50,6 +51,59 @@ def in_local_span(columns: list[list[int]], target: list[int], ell: int) -> bool
     one-vector-at-a-time definition the batched validation is checked against.
     """
     return span_invariants(columns, ell) == span_invariants([*columns, target], ell)
+
+
+def dense_divisor_valuations(rows: list[list[int]], ell: int, exponent: int) -> list[int]:
+    """Dense elimination mod l^N, the reference for the sparse ``divisor_valuations``.
+
+    Every entry is reduced into [0, l^N); each step scans the remaining
+    submatrix for an entry of minimal valuation (smallest row, then smallest
+    column), swaps it to the diagonal and clears the rows below it.  Returns
+    the pivots' valuations in order, then the exponent for every row left.
+    """
+    if exponent < 1:
+        raise ValueError("exponent must be at least 1")
+    q = ell**exponent
+    a = [[x % q for x in row] for row in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    diag: list[int] = []
+    t = 0
+    while t < m and t < n:
+        # An entry beats the best so far only if the best's power of l does
+        # not divide it, so valuations are computed only on improvement and
+        # the scan ends at the first unit.
+        best = None
+        best_v = exponent
+        bound = q
+        for i in range(t, m):
+            row = a[i]
+            for j in range(t, n):
+                if row[j] % bound:
+                    best_v = ell_valuation(row[j], ell)
+                    best, bound = (i, j), ell**best_v
+                    if best_v == 0:
+                        break
+            if best_v == 0:
+                break
+        if best is None:
+            break
+        pi, pj = best
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a[t:]:
+                row[t], row[pj] = row[pj], row[t]
+        pivot = a[t][t:]
+        inv_u = pow(pivot[0] // bound, -1, q)
+        for i in range(t + 1, m):
+            x = a[i][t]
+            if x:
+                f = (x // bound) * inv_u % q
+                a[i][t:] = [(y - f * z) % q for y, z in zip(a[i][t:], pivot)]
+        diag.append(best_v)
+        t += 1
+    return diag + [exponent] * (m - t)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,6 +8,7 @@ gcd(d_i, q) for i <= r, plus one full q for every row beyond the rank.
 Fixed cases were reduced by hand first.
 """
 
+import copy
 import itertools
 import math
 import os
@@ -17,11 +18,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from towergrowth.linalg import _norm_exponent, divisor_valuations, ell_valuation, span_invariants
 
-from conftest import in_local_span
+from conftest import dense_divisor_valuations, in_local_span
 
 
 class TestEllValuation:
@@ -242,6 +243,77 @@ class TestSpanAgreement:
         got = span_invariants(matrix, ell)
         assert got == _span_reference(matrix, ell)
         assert got[0] < min(len(matrix), len(matrix[0]))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(rows, l, N): up to 16 x 24 at any density, with zero rows and columns,
+    negative entries, entries at or past l^N, entries +-l^k u and rows that
+    depend on others."""
+    ell = draw(_primes)
+    exponent = draw(st.integers(1, 300))
+    m, n = draw(st.integers(0, 16)), draw(st.integers(0, 24))
+    density = draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    q = ell**exponent
+
+    def entry():
+        sign = rng.choice((1, -1))
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-9, 9)
+        if kind == 1:
+            return sign * rng.randint(q, 3 * q)
+        if kind == 2:
+            unit = ell * rng.randint(0, 40) + rng.randint(1, ell - 1)
+            return sign * ell ** rng.randint(0, exponent + 1) * unit
+        return rng.randint(-q, q)
+
+    rows = [[entry() if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+    for _ in range(rng.randint(0, m // 2) if m > 1 else 0):
+        i, a, b = rng.sample(range(m), 2) + [rng.randrange(m)]
+        k = rng.randint(0, 3)
+        rows[i] = [x + ell**k * y for x, y in zip(rows[a], rows[b])]
+    for i in rng.sample(range(m), rng.randint(0, m // 3)):
+        rows[i] = [0] * n
+    for j in rng.sample(range(n), rng.randint(0, n // 3)):
+        for row in rows:
+            row[j] = 0
+    return rows, ell, exponent
+
+
+class TestSparseKernel:
+    @seed(20261019)
+    @given(case=_kernel_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_dense_reference(self, case):
+        rows, ell, exponent = case
+        snapshot = copy.deepcopy(rows)
+        # the lists themselves, not their multisets
+        expected = dense_divisor_valuations(rows, ell, exponent)
+        assert divisor_valuations(rows, ell, exponent) == expected
+        assert rows == snapshot
+        assert divisor_valuations([tuple(r) for r in rows], ell, exponent) == expected
+
+    @given(columns=_matrices(-(10**6), 10**6, max_outer=6, max_inner=6), ell=_primes)
+    @settings(max_examples=100, deadline=None)
+    def test_span_invariants_leaves_its_columns_alone(self, columns, ell):
+        snapshot = copy.deepcopy(columns)
+        span_invariants(columns, ell)
+        assert columns == snapshot
+
+    def test_no_unit_entry_divides_by_ell(self):
+        # every entry even: the first pivot comes after one division by 2
+        assert divisor_valuations([[2, 4], [6, 8]], 2, 5) == [1, 2]
+        assert divisor_valuations([[4, 0], [0, 8], [0, 0]], 2, 2) == [2, 2, 2]
+        assert divisor_valuations([[9, 0, 3], [0, 0, 0]], 3, 4) == [1, 4]
+        # divisors 4 and 32: the second folds to 2^4 only if each division
+        # by l also lowers the precision
+        assert divisor_valuations([[4, 8], [-12, 8]], 2, 4) == [2, 4]
+
+    def test_entries_past_the_precision_fold_to_zero(self):
+        assert divisor_valuations([[-32, 32], [64, 0]], 2, 5) == [5, 5]
+        assert divisor_valuations([[-31, 32]], 2, 5) == [0]
 
 
 def test_import_leaves_numpy_out():

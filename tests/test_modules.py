@@ -7,6 +7,7 @@ restates that definition in the monomial basis, l^e rows per coordinate,
 apart from the engine's per-coordinate blocks.
 """
 
+import copy
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from towergrowth import (
     SpecialDescent,
     classify_case,
     codescent_defect,
+    modules,
+    order_sequence,
     tower_poly,
     validate_descent,
     zero_element,
@@ -251,6 +254,20 @@ class TestValidation:
         assert span_shapes == [(10, 10), (10, 18)]
         assert codescent_defect(module, descent) == 8
         assert span_shapes[2:] == [(8, 8)]
+
+    def test_presentation_unchanged_by_its_callers(self, generic_corpus):
+        # validation, the defect and the quotients share the memoised matrix
+        # and hand it to the elimination kernel; none may change it in place
+        for case in generic_corpus[:40]:
+            module, descent = case.module, case.descent
+            built = modules._presentation(module, descent)
+            snapshot = copy.deepcopy(built)
+            modules._validate_descent.cache_clear()
+            if validate_descent(module, descent).valid:
+                codescent_defect(module, descent)
+                order_sequence(module, descent, descent.level + 1, descent.level + 2)
+            assert modules._presentation(module, descent) is built
+            assert built == snapshot
 
     def test_shape_mismatch_raises(self):
         bad = ModuleElement(free_coords=(T, T), torsion_coords=())

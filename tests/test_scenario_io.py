@@ -1,5 +1,7 @@
 """Run-file parsing and serialization."""
 
+import ast
+import json
 import random
 
 import pytest
@@ -17,7 +19,7 @@ from towergrowth import (
     parse_run,
     serialize_run,
 )
-from towergrowth.scenario_io import RunSpec
+from towergrowth.scenario_io import RunSpec, _literal
 
 from conftest import build_generic_case
 
@@ -229,3 +231,48 @@ class TestParseFuzz:
     def test_hostile_literals_are_parse_errors(self, value):
         with pytest.raises(ScenarioParseError, match="line 4"):
             parse_run(f"[prime]\nl = 2\n[module]\npoly = {value}\n")
+
+
+def _literal_reference(value, line, message):
+    """The run-file literal parser without its json fast path."""
+    try:
+        return ast.literal_eval(value)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        raise ScenarioParseError(line, message) from None
+
+
+def _outcome(parse, value):
+    try:
+        # repr tells True from 1 and 1.0 from 1
+        return "value", repr(parse(value, 7, "needs a list"))
+    except ScenarioParseError as exc:
+        return "error", str(exc)
+
+
+_PIECES = st.sampled_from(
+    list("[](),+-_ 0123456789xobeE.\t\f\n\r")
+    + ["true", "True", "null", "None", "NaN", "Infinity", "-Infinity", "01", "[1,]"]
+    + ["1e3", "0x1f", "0b11", "0o7", "1_000", "\u0661", "[\u0661]", "\u0663\u0662"]
+    + ["9" * 4301, "[" + "7" * 4400 + "]", "[" * 150 + "]" * 150, "[" * 3000 + "]" * 3000]
+)
+# JSON texts, mostly lists of ints, with the values json reads differently
+_JSON_LISTS = st.recursive(
+    st.integers(-(10**40), 10**40) | st.booleans() | st.none() | st.floats(),
+    lambda inner: st.lists(inner, max_size=5),
+    max_leaves=20,
+).map(json.dumps)
+
+
+class TestLiteralFastPath:
+    @given(st.one_of(st.lists(_PIECES | _JSON_LISTS, max_size=12).map("".join), _JSON_LISTS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_eval(self, value):
+        assert _outcome(_literal, value) == _outcome(_literal_reference, value)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["[true]", "[[1], [false]]", "[1, NaN]", "[1e3]", "[[1], [2.0]]", "[null]", "[1,]"]
+        + ["[01]", "\n [1]", "[1]\n "],
+    )
+    def test_json_only_forms_take_the_literal_eval_path(self, value):
+        assert _outcome(_literal, value) == _outcome(_literal_reference, value)
