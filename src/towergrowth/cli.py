@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import TextIO
 
 from .fitting import (
-    AmbiguousFitError,
     BoundedSpread,
     Classification,
     FitResult,
@@ -45,7 +44,7 @@ from .invariants import (
 from .modules import CaseTag, classify_case, require_valid
 from .quotients import DEFAULT_DIMENSION_CAP, CapExceeded, OrderSequence, order_sequence
 from .quotients import check_caps, check_presentation
-from .scenario_io import RunSpec, ScenarioParseError, parse_run
+from .scenario_io import RunSpec, parse_run
 from .scenarios import (
     MirrorSide,
     Scenario,
@@ -448,16 +447,10 @@ def run_command(argv: list[str], out: TextIO | None = None, err: TextIO | None =
         return code if isinstance(code, int) else 2
     try:
         return args.func(args, out)
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=err)
         return 3
-    except AmbiguousFitError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ScenarioParseError and AmbiguousFitError too
         print(f"error: {exc}", file=err)
         return 2
 

@@ -111,7 +111,8 @@ def codescent_defect(module: ElementaryModule, descent: DescentDatum) -> int:
     assert isinstance(descent, GenericDescent)
     layout, _, columns = _presentation(module, descent)
     stop = sum(m.degree for idx, _, m in layout if idx < module.free_rank)  # free blocks first
-    return span_invariants([col[:stop] for col in columns], module.prime.value)[0]
+    free = [{r: x for r, x in col.items() if r < stop} for col in columns]
+    return span_invariants(free, stop, module.prime.value)[0]
 
 
 def defect_bound(module: ElementaryModule, descent: DescentDatum) -> int:

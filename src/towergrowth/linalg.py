@@ -6,15 +6,16 @@ materialized: unimodular row operations preserve l^N Z^D inside the lattice,
 so every entry only matters modulo l^N, and at the end a pivoted row
 contributes Z/gcd(d, l^N) while an unpivoted row contributes Z/l^N.
 
-The kernel is sparse.  Each row is a ``{column: residue}`` dict of its
-nonzero entries, and an index from each column to the live rows holding it
-lets a pivot touch only the rows of its column.  Elimination runs in phases
-of one valuation v at a time, on entries divided by l^v modulo q = l^(N-v):
-the pivot is a unit entry of the shortest live row that has one, and once
-no unit is left every entry is divisible by l, so all are divided by l, q
-shrinks by l and v grows by one.  The pivot thus always has minimal
-valuation in the remaining submatrix and divides everything there, so one
-clearing pass per pivot suffices and the diagonal comes out with
+Callers hand over the matrix as one ``{row: entry}`` dict of nonzero
+entries per column.  The kernel eliminates rows, the ambient coordinates,
+each a ``{column: residue}`` dict, and an index from each column to the live
+rows holding it lets a pivot touch only the rows of its column.  Elimination
+runs in phases of one valuation v at a time, on entries divided by l^v
+modulo q = l^(N-v): the pivot is a unit entry of the shortest live row that
+has one, and once no unit is left every entry is divisible by l, so all are
+divided by l, q shrinks by l and v grows by one.  The pivot thus always has
+minimal valuation in the remaining submatrix and divides everything there,
+so one clearing pass per pivot suffices and the diagonal comes out with
 nondecreasing valuations; any pivot of minimal valuation gives the same
 multiset.  Entries and multipliers are kept in (-q, q) and reduced only
 when they leave it, so a -1 stays -1 while nothing grows past q.
@@ -34,8 +35,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
+from collections.abc import Collection
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
 
 
 def ell_valuation(x: int, ell: int) -> int:
@@ -50,39 +51,35 @@ def ell_valuation(x: int, ell: int) -> int:
     return v
 
 
-def divisor_valuations(rows: list[list[int]], ell: int, exponent: int) -> list[int]:
-    """Valuations of the cyclic factors of Z^D / (columns + l^N Z^D).
+def divisor_valuations(columns: list[dict], dimension: int, ell: int, exponent: int) -> list[int]:
+    """Valuations of the cyclic factors of Z^D / (columns + l^N Z^D), D = dimension.
 
-    ``rows`` is the relation matrix (one row per ambient coordinate, one
-    column per relation); it is read, never changed.  Returns one value in
-    [0, exponent] per ambient coordinate: min(v_l(d), N) for a pivoted row
-    with diagonal d, in nondecreasing order, then N for each row the
-    relations never reach.  Zero entries (unit divisors) are kept; the
+    ``columns`` is the relation matrix, one ``{row: entry}`` dict per relation
+    (zeros may be left out, keys in any order); it is read, never changed.
+    Returns one value in [0, exponent] per ambient coordinate: min(v_l(d), N)
+    for a pivoted row with diagonal d, in nondecreasing order, then N for each
+    row the relations never reach.  Zero entries (unit divisors) are kept; the
     caller drops them when building a group.
 
-    >>> divisor_valuations([[2, 0], [0, 12], [0, 0]], 2, 5)
+    >>> divisor_valuations([{0: 2}, {1: 12}], 3, 2, 5)
     [1, 2, 5]
 
     With no unit entry the whole matrix is divided by l first (det -8):
 
-    >>> divisor_valuations([[2, 4], [6, 8]], 2, 5)
+    >>> divisor_valuations([{0: 2, 1: 6}, {0: 4, 1: 8}], 2, 2, 5)
     [1, 2]
     """
     if exponent < 1:
         raise ValueError("exponent must be at least 1")
     q = ell**exponent
-    live: dict[int, dict[int, int]] = {}
+    live: defaultdict[int, dict[int, int]] = defaultdict(dict)
     holders: defaultdict[int, set[int]] = defaultdict(set)
-    for i, row in enumerate(rows):
-        entries = {}
-        # compress skips the zeros without a Python-level test per cell
-        for j in compress(count(), row):
-            x = row[j]
-            if -q < x < q or (x := x % q):
-                entries[j] = x
-        if entries:
-            live[i] = entries
-            for j in entries:
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            if not -q < x < q:
+                x %= q
+            if x:
+                live[i][j] = x
                 holders[j].add(i)
     # (length, row) of every live row whose entries changed since it was
     # last found to hold no unit; stale lengths are skipped when popped
@@ -138,21 +135,25 @@ def divisor_valuations(rows: list[list[int]], ell: int, exponent: int) -> list[i
             else:
                 del live[i]
         diag.append(shift)
-    return diag + [exponent] * (len(rows) - len(diag))
+    return diag + [exponent] * (dimension - len(diag))
 
 
-def _norm_exponent(column: list[int], ell: int) -> int:
-    """Least k with l^k >= the Euclidean norm of the column."""
-    square = sum(map(operator.mul, column, column))
-    # least m with l^m >= square, from a bit-length estimate below it by at most 3
-    m = max(int(square.bit_length() / math.log2(ell)) - 2, 0)
-    while ell**m < square:
+def ceil_log(x: int, ell: int) -> int:
+    """Least m >= 0 with l^m >= x, from a bit-length estimate below it by at most 3."""
+    m = max(int(x.bit_length() / math.log2(ell)) - 2, 0)
+    while ell**m < x:
         m += 1
-    return (m + 1) // 2
+    return m
 
 
-def span_invariants(columns: list[list[int]], ell: int) -> tuple[int, int]:
-    """Rank and total l-valuation of the Smith form of the matrix with these columns.
+def _norm_exponent(column: Collection[int], ell: int) -> int:
+    """Least k with l^k >= the Euclidean norm of the column's entries."""
+    return (ceil_log(sum(map(operator.mul, column, column)), ell) + 1) // 2
+
+
+def span_invariants(columns: list[dict], dimension: int, ell: int) -> tuple[int, int]:
+    """Rank and total l-valuation of the Smith form of the matrix with these
+    columns, given as for ``divisor_valuations``.
 
     For nested l-local spans W <= W' the pair is equal exactly when the spans
     are equal.  The kernel runs at N = 1 + the sum of the norm exponents of
@@ -161,15 +162,12 @@ def span_invariants(columns: list[list[int]], ell: int) -> tuple[int, int]:
     of the r nonzero elementary divisors divides every such minor, so each of
     them has l-valuation below N while the zero divisors fold to N.
 
-    >>> span_invariants([[2, 1], [0, 2]], 2)
+    >>> span_invariants([{0: 2, 1: 1}, {1: 2}], 2, 2)
     (2, 2)
-    >>> span_invariants([[3, 6], [1, 2]], 3)
+    >>> span_invariants([{0: 3, 1: 6}, {0: 1, 1: 2}], 2, 3)
     (1, 0)
     """
-    if not columns or not columns[0]:
-        return 0, 0
-    norms = sorted((_norm_exponent(col, ell) for col in columns), reverse=True)
-    exponent = 1 + sum(norms[: len(columns[0])])
-    vals = divisor_valuations(list(zip(*columns)), ell, exponent)
-    vals = [v for v in vals if v < exponent]
+    norms = sorted((_norm_exponent(col.values(), ell) for col in columns), reverse=True)
+    exponent = 1 + sum(norms[:dimension])
+    vals = [v for v in divisor_valuations(columns, dimension, ell, exponent) if v < exponent]
     return len(vals), sum(vals)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+from collections import defaultdict
 from collections.abc import Sequence
 
 from .linalg import span_invariants
@@ -220,7 +221,8 @@ def _presentation(module: ElementaryModule, descent: DescentDatum) -> tuple:
     Weierstrass preparation; a free or Lambda/(l^m) coordinate of
     ``_block_coordinates`` is Z[T]/(omega_e) cut by l^m (free: uncut).  Each
     generator is one column of ``residue`` parts; without generators e is 0.
-    Memoised, and no caller changes a column in place.
+    Every column is a ``{row: entry}`` dict of its nonzero entries, the
+    kernel's format.  Memoised, and no caller changes a column in place.
     """
     gens = descent.generators if isinstance(descent, GenericDescent) else ()
     omega = tower_poly(module.prime, descent.level if gens else 0)
@@ -229,14 +231,30 @@ def _presentation(module: ElementaryModule, descent: DescentDatum) -> tuple:
     for idx in _block_coordinates(module, gens):
         factor = factors[idx]
         modulus = factor.poly if isinstance(factor, DistinguishedFactor) else omega
-        if factor is not None:  # cut by omega_e or l^m; a free block is uncut
-            cut = (ell**factor.exponent,) if isinstance(factor, LPower) else omega.coeffs
-            relations += [(rows, part) for part in multiplication_matrix(cut, modulus)]
+        if isinstance(factor, LPower):  # cut by l^m: the columns l^m·T^j
+            relations += [{r: ell**factor.exponent} for r in range(rows, rows + modulus.degree)]
+        elif factor is not None:  # cut by omega_e; a free block is uncut
+            parts = multiplication_matrix(omega.coeffs, modulus)
+            relations += [{r: x for r, x in enumerate(part, rows) if x} for part in parts]
         layout.append((idx, rows, modulus))
         rows += modulus.degree
-    relations = [[*[0] * i, *part, *[0] * (rows - i - len(part))] for i, part in relations]
-    columns = [[x for i, _, m in layout for x in residue(g.coords[i].coeffs, m)] for g in gens]
+    columns = [
+        {r: x for i, at, m in layout for r, x in enumerate(residue(g.coords[i].coeffs, m), at) if x}
+        for g in gens
+    ]
     return tuple(layout), relations, columns
+
+
+def _product(column: dict[int, int], images: dict[int, tuple], q: int | None = None) -> dict:
+    """M·column, its nonzero entries reduced into [0, q) if q is given, for the
+    matrix M whose column r is images[r] = (first row, entries from it on),
+    or the unit vector at r when r is not a key."""
+    product: defaultdict[int, int] = defaultdict(int)
+    for r, x in column.items():
+        first, part = images.get(r, (r, (1,)))
+        for s, y in enumerate(part, first):
+            product[s] += x * y
+    return {r: y for r, x in product.items() if (y := x if q is None else x % q)}
 
 
 def validate_descent(module: ElementaryModule, descent: DescentDatum) -> ValidationReport:
@@ -265,16 +283,16 @@ def _validate_descent(module: ElementaryModule, descent: DescentDatum) -> Valida
     if not gens:
         return ValidationReport(True, detail="no generators: trivial case")
     layout, relations, columns = _presentation(module, descent)
-    images = [  # T·y: one more fold step on each block part
-        [x for _, i, m in layout for x in residue((0, *col[i : i + m.degree]), m)]
-        for col in columns
-    ]
+    # T·e_r = e_(r+1) inside a block; at its top row T^deg folds back by the modulus
+    shift = {r: (r + 1, (1,)) for r in range(sum(m.degree for _, _, m in layout))}
+    shift.update((i + m.degree - 1, (i, [-b for b in m.coeffs[:-1]])) for _, i, m in layout)
+    images = [_product(col, shift) for col in columns]
     span = columns + relations
-    ell = module.prime.value
-    base = span_invariants(span, ell)
-    if base != span_invariants(span + images, ell):
+    ell, dimension = module.prime.value, len(shift)
+    base = span_invariants(span, dimension, ell)
+    if base != span_invariants(span + images, dimension, ell):
         for idx, (gen, image) in enumerate(zip(gens, images)):
-            if span_invariants([*span, image], ell) != base:
+            if span_invariants([*span, image], dimension, ell) != base:
                 return ValidationReport(
                     False,
                     failing_generator=idx,

@@ -39,11 +39,10 @@ the engine.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from collections import Counter
 from collections.abc import Iterator
 
-from .linalg import divisor_valuations, ell_valuation
+from .linalg import ceil_log, divisor_valuations, ell_valuation
 from .modules import (
     DescentDatum,
     DistinguishedFactor,
@@ -53,6 +52,7 @@ from .modules import (
     SpecialDescent,
     _block_coordinates,
     _presentation,
+    _product,
     require_valid,
 )
 from .polynomials import (
@@ -135,14 +135,11 @@ def _check_levels(descent: DescentDatum, n: int, k: int) -> None:
 
 
 def _first_level_over(ell: int, count: int, cap: int) -> int | None:
-    """Least m >= 0 with count * l^m > cap (None if there is none), found by
-    multiplying up to the cap: no larger power of l is built."""
-    m, size = 0, count
-    while size <= cap:
-        if size <= 0:
-            return None
-        m, size = m + 1, size * ell
-    return m
+    """Least m >= 0 with count * l^m > cap (None if there is none), from the
+    size of cap // count: no power of l past the cap is built."""
+    if count <= 0:
+        return 0 if count > cap else None
+    return ceil_log(cap // count + 1, ell)
 
 
 def check_caps(module: ElementaryModule, n_min: int, n_max: int, k: int, cap: int) -> None:
@@ -210,19 +207,12 @@ def _quotients(
                 # a block is the rank-l^e summand (module docstring); the rest splits off
                 cut = exponent if factor is None else min(factor.exponent, exponent)
                 counts[cut] += ell**n - rows.get(idx, 0)
-        columns = [[x % q for x in col] for col in [*relations, *generators]]
+        lift = {}  # row of a distinguished block -> (the block's first row, its column of M(nu))
         for start, modulus in lifts:
-            stop = start + modulus.degree
-            nu = [*zip(*multiplication_matrix(tower_residues(ell, n, e, modulus, q), modulus, q))]
-            for col in columns:
-                part = col[start:stop]
-                if any(part):
-                    col[start:stop] = [sum(map(operator.mul, row, part)) % q for row in nu]
-        columns = [col for col in columns if any(col)]
-        if columns:
-            counts.update(divisor_valuations(list(zip(*columns)), ell, exponent))
-        else:
-            counts[exponent] += sum(rows.values())
+            nu = multiplication_matrix(tower_residues(ell, n, e, modulus, q), modulus, q)
+            lift.update((r, (start, part)) for r, part in enumerate(nu, start))
+        columns = [_product(col, lift, q) for col in [*relations, *generators]]
+        counts.update(divisor_valuations(columns, sum(rows.values()), ell, exponent))
         if isinstance(descent, SpecialDescent):
             counts[exponent] += 1
         del counts[0]  # unit divisors

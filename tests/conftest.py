@@ -43,6 +43,13 @@ CORPUS_SIZE = 110
 MAX_GENERATORS = 4
 
 
+def sparse_columns(rows: list[list[int]]) -> tuple[list[dict[int, int]], int]:
+    """Dense rows as the kernel's input: the ``{row: entry}`` dict of each
+    column's nonzero entries, and the number of rows."""
+    width = len(rows[0]) if rows else 0
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(width)], len(rows)
+
+
 def in_local_span(columns: list[list[int]], target: list[int], ell: int) -> bool:
     """Whether target = W x is solvable with denominators prime to l.
 
@@ -50,7 +57,21 @@ def in_local_span(columns: list[list[int]], target: list[int], ell: int) -> bool
     comparing the span invariants of W and [W | target].  This is the
     one-vector-at-a-time definition the batched validation is checked against.
     """
-    return span_invariants(columns, ell) == span_invariants([*columns, target], ell)
+    sparse = [{i: x for i, x in enumerate(col) if x} for col in [*columns, target]]
+    dimension = len(target)
+    return span_invariants(sparse[:-1], dimension, ell) == span_invariants(sparse, dimension, ell)
+
+
+def first_level_over_by_multiplying(ell: int, count: int, cap: int) -> int | None:
+    """Least m >= 0 with count * l^m > cap (None if there is none), by
+    multiplying count by l until it passes the cap: the reference for
+    ``quotients._first_level_over`` and ``linalg.ceil_log``."""
+    m, size = 0, count
+    while size <= cap:
+        if size <= 0:
+            return None
+        m, size = m + 1, size * ell
+    return m
 
 
 def dense_divisor_valuations(rows: list[list[int]], ell: int, exponent: int) -> list[int]:
@@ -241,14 +262,14 @@ def generic_corpus() -> list[CorpusCase]:
 
 @pytest.fixture
 def kernel_shapes(monkeypatch) -> list[tuple[int, int]]:
-    """(rows, columns) of every matrix the quotient path hands to the
+    """(dimension, columns) of every matrix the quotient path hands to the
     elimination kernel, in call order."""
     shapes: list[tuple[int, int]] = []
     kernel = quotients.divisor_valuations
 
-    def recording(rows, *args):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
-        return kernel(rows, *args)
+    def recording(columns, dimension, *args):
+        shapes.append((dimension, len(columns)))
+        return kernel(columns, dimension, *args)
 
     monkeypatch.setattr(quotients, "divisor_valuations", recording)
     return shapes
@@ -256,15 +277,15 @@ def kernel_shapes(monkeypatch) -> list[tuple[int, int]]:
 
 @pytest.fixture
 def span_shapes(monkeypatch) -> list[tuple[int, int]]:
-    """(rows, columns) of every matrix ``span_invariants`` hands to the
+    """(dimension, columns) of every matrix ``span_invariants`` hands to the
     elimination kernel, in call order.  Validation reports are memoised, so
     the memo is cleared first and every validation runs its spans."""
     shapes: list[tuple[int, int]] = []
     kernel = linalg.divisor_valuations
 
-    def recording(rows, *args):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
-        return kernel(rows, *args)
+    def recording(columns, dimension, *args):
+        shapes.append((dimension, len(columns)))
+        return kernel(columns, dimension, *args)
 
     monkeypatch.setattr(linalg, "divisor_valuations", recording)
     modules._validate_descent.cache_clear()

@@ -20,9 +20,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from towergrowth.linalg import _norm_exponent, divisor_valuations, ell_valuation, span_invariants
+from towergrowth.linalg import (
+    _norm_exponent,
+    ceil_log,
+    divisor_valuations,
+    ell_valuation,
+    span_invariants,
+)
 
-from conftest import dense_divisor_valuations, in_local_span
+from conftest import (
+    dense_divisor_valuations,
+    first_level_over_by_multiplying,
+    in_local_span,
+    sparse_columns,
+)
 
 
 class TestEllValuation:
@@ -39,35 +50,37 @@ class TestEllValuation:
 
 
 class TestSpanInvariants:
+    """Each matrix is written by its rows; ``sparse_columns`` hands it over."""
+
     def test_already_diagonal(self):
         # divisors 2 and 3
-        assert span_invariants([[2, 0], [0, 3]], 2) == (2, 1)
-        assert span_invariants([[2, 0], [0, 3]], 3) == (2, 1)
+        assert span_invariants(*sparse_columns([[2, 0], [0, 3]]), 2) == (2, 1)
+        assert span_invariants(*sparse_columns([[2, 0], [0, 3]]), 3) == (2, 1)
 
     def test_upper_triangular(self):
         # det 4, entry gcd 1, so the divisors are 1 and 4
-        assert span_invariants([[2, 0], [1, 2]], 2) == (2, 2)
+        assert span_invariants(*sparse_columns([[2, 1], [0, 2]]), 2) == (2, 2)
 
     def test_symmetric(self):
         # [[4,2],[2,4]]: gcd 2, det 12, divisors 2 and 6
-        assert span_invariants([[4, 2], [2, 4]], 2) == (2, 2)
-        assert span_invariants([[4, 2], [2, 4]], 3) == (2, 1)
+        assert span_invariants(*sparse_columns([[4, 2], [2, 4]]), 2) == (2, 2)
+        assert span_invariants(*sparse_columns([[4, 2], [2, 4]]), 3) == (2, 1)
 
     def test_zero_matrix(self):
-        assert span_invariants([[0, 0], [0, 0]], 2) == (0, 0)
-        assert span_invariants([], 2) == (0, 0)
+        assert span_invariants(*sparse_columns([[0, 0], [0, 0]]), 2) == (0, 0)
+        assert span_invariants(*sparse_columns([]), 2) == (0, 0)
 
     def test_hadamard_bound_is_reached(self):
         # |det| = 16 is the product of the four column norms 2; the
         # divisors 1, 2, 2, 4 need the precision from every column
         h = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
-        assert span_invariants(h, 2) == (4, 4)
-        assert span_invariants(h, 3) == (4, 0)
+        assert span_invariants(*sparse_columns(h), 2) == (4, 4)
+        assert span_invariants(*sparse_columns(h), 3) == (4, 0)
 
     def test_rectangular(self):
         # one column (2, 0); one row (6 4), that is the columns (6) and (4)
-        assert span_invariants([[2, 0]], 2) == (1, 1)
-        assert span_invariants([[6], [4]], 2) == (1, 1)
+        assert span_invariants(*sparse_columns([[2], [0]]), 2) == (1, 1)
+        assert span_invariants(*sparse_columns([[6, 4]]), 2) == (1, 1)
 
 
 def _norm_exponent_by_powers(column, ell):
@@ -92,6 +105,14 @@ def test_norm_exponent_matches_multiplying_up(ell):
         columns.append([rng.randint(-(2**2000), 2**2000) for _ in range(rng.randint(1, 4))])
     for col in columns:
         assert _norm_exponent(col, ell) == _norm_exponent_by_powers(col, ell), col
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_ceil_log_matches_multiplying_up(ell):
+    # least m with l^m >= x is least m with 1 * l^m > x - 1
+    points = [0, 1] + [ell**m + d for m in range(1, 300) for d in (-1, 0, 1)]
+    for x in points:
+        assert ceil_log(x, ell) == first_level_over_by_multiplying(ell, 1, x - 1), x
 
 
 class TestInLocalSpan:
@@ -124,21 +145,21 @@ class TestInLocalSpan:
 
 class TestDivisorValuations:
     def test_diagonal_folding(self):
-        assert sorted(divisor_valuations([[2, 0], [0, 4]], 2, 3)) == [1, 2]
+        assert sorted(divisor_valuations(*sparse_columns([[2, 0], [0, 4]]), 2, 3)) == [1, 2]
         # entries above the exponent saturate at it
-        assert sorted(divisor_valuations([[16, 0], [0, 2]], 2, 3)) == [1, 3]
+        assert sorted(divisor_valuations(*sparse_columns([[16, 0], [0, 2]]), 2, 3)) == [1, 3]
 
     def test_unpivoted_rows_get_full_exponent(self):
-        assert sorted(divisor_valuations([[2], [0]], 2, 5)) == [1, 5]
+        assert sorted(divisor_valuations(*sparse_columns([[2], [0]]), 2, 5)) == [1, 5]
 
     def test_no_columns(self):
-        assert divisor_valuations([[], []], 2, 4) == [4, 4]
+        assert divisor_valuations(*sparse_columns([[], []]), 2, 4) == [4, 4]
 
     def test_empty_matrix(self):
-        assert divisor_valuations([], 2, 4) == []
+        assert divisor_valuations(*sparse_columns([]), 2, 4) == []
 
     def test_unit_column_kills_a_row(self):
-        assert sorted(divisor_valuations([[1], [0]], 2, 4)) == [0, 4]
+        assert sorted(divisor_valuations(*sparse_columns([[1], [0]]), 2, 4)) == [0, 4]
 
 
 def _det(rows):
@@ -214,11 +235,11 @@ class TestKernelAgreement:
     @settings(max_examples=150, deadline=None)
     def test_folded_matches_full_diagonalization(self, rows, ell, exponent):
         # exponents up to 40 run l^exponent from l up to past 2^92
-        got = sorted(divisor_valuations([list(r) for r in rows], ell, exponent))
+        got = sorted(divisor_valuations(*sparse_columns(rows), ell, exponent))
         assert got == _fold_reference(rows, ell, exponent)
 
     def test_python_path_handles_huge_exponents(self):
-        vals = divisor_valuations([[2**40, 0], [0, 6]], 2, 35)
+        vals = divisor_valuations(*sparse_columns([[2**40, 0], [0, 6]]), 2, 35)
         assert sorted(vals) == [1, 35]
 
     def test_reference_on_a_hand_reduced_case(self):
@@ -229,18 +250,18 @@ class TestKernelAgreement:
 
 class TestSpanAgreement:
     @given(
-        # the second shape has more columns than rows
-        columns=_matrices(-10**6, 10**6) | _matrices(-10**6, 10**6, max_outer=6, max_inner=2),
+        # matrices by their rows; the second shape has more columns than rows
+        rows=_matrices(-10**6, 10**6) | _matrices(-10**6, 10**6, max_outer=2, max_inner=6),
         ell=_primes,
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_determinantal_divisors(self, columns, ell):
-        assert span_invariants(columns, ell) == _span_reference(columns, ell)
+    def test_matches_determinantal_divisors(self, rows, ell):
+        assert span_invariants(*sparse_columns(rows), ell) == _span_reference(rows, ell)
 
     @given(matrix=_rank_deficient(), ell=_primes)
     @settings(max_examples=100, deadline=None)
     def test_rank_deficient(self, matrix, ell):
-        got = span_invariants(matrix, ell)
+        got = span_invariants(*sparse_columns(matrix), ell)
         assert got == _span_reference(matrix, ell)
         assert got[0] < min(len(matrix), len(matrix[0]))
 
@@ -288,32 +309,50 @@ class TestSparseKernel:
     @settings(max_examples=500, deadline=None)
     def test_matches_the_dense_reference(self, case):
         rows, ell, exponent = case
-        snapshot = copy.deepcopy(rows)
+        columns, dimension = sparse_columns(rows)
+        snapshot = copy.deepcopy(columns)
         # the lists themselves, not their multisets
         expected = dense_divisor_valuations(rows, ell, exponent)
-        assert divisor_valuations(rows, ell, exponent) == expected
-        assert rows == snapshot
-        assert divisor_valuations([tuple(r) for r in rows], ell, exponent) == expected
+        assert divisor_valuations(columns, dimension, ell, exponent) == expected
+        assert columns == snapshot
 
-    @given(columns=_matrices(-(10**6), 10**6, max_outer=6, max_inner=6), ell=_primes)
+    @seed(20261020)
+    @given(case=_kernel_cases(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_key_order_explicit_zeros_and_unreduced_entries(self, case, data):
+        # the same matrix as stored columns may come: keys in any order, some
+        # zero entries written out, entries moved by multiples of l^N
+        rows, ell, exponent = case
+        q = ell**exponent
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        columns = []
+        for j in range(len(rows[0]) if rows else 0):
+            keys = [i for i, row in enumerate(rows) if row[j] or rng.random() < 0.3]
+            rng.shuffle(keys)
+            columns.append({i: rows[i][j] + q * rng.randint(-3, 3) for i in keys})
+        expected = dense_divisor_valuations(rows, ell, exponent)
+        assert divisor_valuations(columns, len(rows), ell, exponent) == expected
+
+    @given(rows=_matrices(-(10**6), 10**6, max_outer=6, max_inner=6), ell=_primes)
     @settings(max_examples=100, deadline=None)
-    def test_span_invariants_leaves_its_columns_alone(self, columns, ell):
+    def test_span_invariants_leaves_its_columns_alone(self, rows, ell):
+        columns, dimension = sparse_columns(rows)
         snapshot = copy.deepcopy(columns)
-        span_invariants(columns, ell)
+        span_invariants(columns, dimension, ell)
         assert columns == snapshot
 
     def test_no_unit_entry_divides_by_ell(self):
         # every entry even: the first pivot comes after one division by 2
-        assert divisor_valuations([[2, 4], [6, 8]], 2, 5) == [1, 2]
-        assert divisor_valuations([[4, 0], [0, 8], [0, 0]], 2, 2) == [2, 2, 2]
-        assert divisor_valuations([[9, 0, 3], [0, 0, 0]], 3, 4) == [1, 4]
+        assert divisor_valuations(*sparse_columns([[2, 4], [6, 8]]), 2, 5) == [1, 2]
+        assert divisor_valuations(*sparse_columns([[4, 0], [0, 8], [0, 0]]), 2, 2) == [2, 2, 2]
+        assert divisor_valuations(*sparse_columns([[9, 0, 3], [0, 0, 0]]), 3, 4) == [1, 4]
         # divisors 4 and 32: the second folds to 2^4 only if each division
         # by l also lowers the precision
-        assert divisor_valuations([[4, 8], [-12, 8]], 2, 4) == [2, 4]
+        assert divisor_valuations(*sparse_columns([[4, 8], [-12, 8]]), 2, 4) == [2, 4]
 
     def test_entries_past_the_precision_fold_to_zero(self):
-        assert divisor_valuations([[-32, 32], [64, 0]], 2, 5) == [5, 5]
-        assert divisor_valuations([[-31, 32]], 2, 5) == [0]
+        assert divisor_valuations(*sparse_columns([[-32, 32], [64, 0]]), 2, 5) == [5, 5]
+        assert divisor_valuations(*sparse_columns([[-31, 32]]), 2, 5) == [0]
 
 
 def test_import_leaves_numpy_out():

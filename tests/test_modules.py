@@ -22,6 +22,7 @@ from towergrowth import (
     LPower,
     ModuleElement,
     SpecialDescent,
+    builtin_scenario,
     classify_case,
     codescent_defect,
     modules,
@@ -254,6 +255,16 @@ class TestValidation:
         assert span_shapes == [(10, 10), (10, 18)]
         assert codescent_defect(module, descent) == 8
         assert span_shapes[2:] == [(8, 8)]
+
+    def test_presentation_stores_only_nonzero_entries(self, generic_corpus):
+        # prop14 at e = 6: each generator T^j is one entry of the free block
+        scenario = builtin_scenario("prop14:e=6")
+        _, relations, columns = modules._presentation(scenario.module, scenario.descent)
+        assert relations == []
+        assert sum(map(len, columns)) == 2**6
+        for case in generic_corpus[:40]:
+            _, relations, columns = modules._presentation(case.module, case.descent)
+            assert all(x for col in [*relations, *columns] for x in col.values())
 
     def test_presentation_unchanged_by_its_callers(self, generic_corpus):
         # validation, the defect and the quotients share the memoised matrix

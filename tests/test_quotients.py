@@ -33,10 +33,10 @@ from towergrowth import (
     parse_run,
     quotient_group,
 )
-from towergrowth import modules
+from towergrowth import modules, quotients
 from towergrowth.cli import run_command
 
-from conftest import build_generic_case
+from conftest import build_generic_case, first_level_over_by_multiplying
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -151,6 +151,14 @@ class TestPreconditions:
 
 
 class TestCaps:
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_first_level_over_matches_multiplying_up(self, ell):
+        caps = [-1, 0, 1] + [ell**m + d for m in range(1, 150) for d in (-1, 0, 1)]
+        for count in (-1, 0, 1, 2, 3, ell, 7, ell**5 + 1):
+            for cap in caps:
+                expected = first_level_over_by_multiplying(ell, count, cap)
+                assert quotients._first_level_over(ell, count, cap) == expected, (count, cap)
+
     def test_default_dimension_cap(self):
         with pytest.raises(CapExceeded):
             order_valuation(LAMBDA, TRIVIAL, 13)
@@ -302,6 +310,13 @@ class TestEnumerationAgreement:
     def test_agreement(self, module, descent, n, k):
         expected = order_valuation(module, descent, n, k)
         assert enumeration_oracle(module, descent, n, k) == expected
+
+    @pytest.mark.parametrize("d", [50, 200])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_high_degree_distinguished_factor(self, n, d):
+        # Lambda/(T^d + 2): d kernel rows for a two-dimensional ambient at n = 1
+        module = _mod(DistinguishedFactor(IntPoly((2, *[0] * (d - 1), 1))))
+        assert order_valuation(module, TRIVIAL, n) == enumeration_oracle(module, TRIVIAL, n)
 
     def test_frozen_sample_values(self):
         assert enumeration_oracle(_mod(LPower(1)), TRIVIAL, 2) == 4
