@@ -140,7 +140,7 @@ def divisor_valuations(columns: list[dict], dimension: int, ell: int, exponent: 
 
 def ceil_log(x: int, ell: int) -> int:
     """Least m >= 0 with l^m >= x, from a bit-length estimate below it by at most 3."""
-    m = max(int(x.bit_length() / math.log2(ell)) - 2, 0)
+    m = max(int(x.bit_length() / math.log2(ell)) - 2, 0) if x > 1 else 0
     while ell**m < x:
         m += 1
     return m

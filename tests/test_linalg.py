@@ -110,7 +110,7 @@ def test_norm_exponent_matches_multiplying_up(ell):
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_ceil_log_matches_multiplying_up(ell):
     # least m with l^m >= x is least m with 1 * l^m > x - 1
-    points = [0, 1] + [ell**m + d for m in range(1, 300) for d in (-1, 0, 1)]
+    points = [-(ell**20), -(10**3), -5, -1, 0, 1] + [ell**m + d for m in range(1, 300) for d in (-1, 0, 1)]
     for x in points:
         assert ceil_log(x, ell) == first_level_over_by_multiplying(ell, 1, x - 1), x
 

@@ -153,11 +153,22 @@ class TestPreconditions:
 class TestCaps:
     @pytest.mark.parametrize("ell", [2, 3, 5])
     def test_first_level_over_matches_multiplying_up(self, ell):
-        caps = [-1, 0, 1] + [ell**m + d for m in range(1, 150) for d in (-1, 0, 1)]
+        caps = [-(ell**20), -(10**3), -5, -1, 0, 1] + [ell**m + d for m in range(1, 150) for d in (-1, 0, 1)]
         for count in (-1, 0, 1, 2, 3, ell, 7, ell**5 + 1):
             for cap in caps:
                 expected = first_level_over_by_multiplying(ell, count, cap)
                 assert quotients._first_level_over(ell, count, cap) == expected, (count, cap)
+
+    def test_distinguished_degree_above_cap_next_to_grown_block(self):
+        # the degree-100 distinguished rows alone pass the cap 50, so the
+        # level-e presentation is refused however small the grown block is
+        module = _mod(DistinguishedFactor(IntPoly((2, *[0] * 99, 1))), free_rank=1)
+        descent = GenericDescent(3, (ModuleElement((IntPoly((1,)),), (IntPoly(),)),))
+        with pytest.raises(CapExceeded, match=r"needs 100 \+ 1\*2\^3 rows, above the cap 50"):
+            quotients.check_presentation(module, descent, 50)
+        quotients.check_presentation(module, descent, 108)
+        with pytest.raises(CapExceeded):
+            quotients.check_presentation(module, descent, 107)
 
     def test_default_dimension_cap(self):
         with pytest.raises(CapExceeded):
