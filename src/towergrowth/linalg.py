@@ -20,14 +20,20 @@ nondecreasing valuations; any pivot of minimal valuation gives the same
 multiset.  Entries and multipliers are kept in (-q, q) and reduced only
 when they leave it, so a -1 stays -1 while nothing grows past q.
 
+Vectors may ride along as carried columns: each row operation is applied to
+them too, but they are never pivoted and never divided by l.  A carried v
+lies in W + l^N Z^D exactly when its entry at every pivot row found at shift
+s is divisible by l^s, since that column of the pivot clears it without
+touching another live row, and its entry at every row left unpivoted is 0
+mod l^N.
+
 ``span_invariants`` runs the same kernel at a precision N chosen past the
 l-valuation of every nonzero elementary divisor of an integer matrix, so the
 rank and the total l-valuation of its Smith form can be read off the folded
 valuations (Cohen, GTM 138, §2.4: the Smith form modulo a multiple of the
-determinant).  For nested spans, equality of those two numbers is equivalent
-to equality of the l-local spans, so membership reduces to comparing them for
-W and [W | v], and a whole batch of vectors can be tested at once against
-[W | v_1 ... v_m].
+determinant).  ``span_members`` decides membership in the l-local span of W
+with one elimination of W that carries the vectors, at that precision raised
+by the largest vector's norm exponent.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ def ell_valuation(x: int, ell: int) -> int:
     return v
 
 
-def divisor_valuations(columns: list[dict], dimension: int, ell: int, exponent: int) -> list[int]:
+def divisor_valuations(
+    columns: list[dict], dimension: int, ell: int, exponent: int, carried: list[dict] | None = None
+) -> list[int] | tuple[list[int], list[bool]]:
     """Valuations of the cyclic factors of Z^D / (columns + l^N Z^D), D = dimension.
 
     ``columns`` is the relation matrix, one ``{row: entry}`` dict per relation
@@ -59,7 +67,9 @@ def divisor_valuations(columns: list[dict], dimension: int, ell: int, exponent: 
     Returns one value in [0, exponent] per ambient coordinate: min(v_l(d), N)
     for a pivoted row with diagonal d, in nondecreasing order, then N for each
     row the relations never reach.  Zero entries (unit divisors) are kept; the
-    caller drops them when building a group.
+    caller drops them when building a group.  Given ``carried`` vectors in the
+    same format (also left unchanged), it returns the valuations and, per
+    vector, whether it lies in columns + l^N Z^D.
 
     >>> divisor_valuations([{0: 2}, {1: 12}], 3, 2, 5)
     [1, 2, 5]
@@ -68,10 +78,15 @@ def divisor_valuations(columns: list[dict], dimension: int, ell: int, exponent: 
 
     >>> divisor_valuations([{0: 2, 1: 6}, {0: 4, 1: 8}], 2, 2, 5)
     [1, 2]
+
+    Carried along, (6, 18) lies in their span mod 2^5 and (1, 3) does not:
+
+    >>> divisor_valuations([{0: 2, 1: 6}, {0: 4, 1: 8}], 2, 2, 5, [{0: 6, 1: 18}, {0: 1, 1: 3}])
+    ([1, 2], [True, False])
     """
     if exponent < 1:
         raise ValueError("exponent must be at least 1")
-    q = ell**exponent
+    q = top = ell**exponent
     live: defaultdict[int, dict[int, int]] = defaultdict(dict)
     holders: defaultdict[int, set[int]] = defaultdict(set)
     for j, column in enumerate(columns):
@@ -81,6 +96,15 @@ def divisor_valuations(columns: list[dict], dimension: int, ell: int, exponent: 
             if x:
                 live[i][j] = x
                 holders[j].add(i)
+    # the carried entries by row, {vector: entry}, kept in (-l^N, l^N)
+    carry: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for k, vector in enumerate(carried or ()):
+        for i, x in vector.items():
+            if not -top < x < top:
+                x %= top
+            if x:
+                carry[i][k] = x
+    outside: set[int] = set()
     # (length, row) of every live row whose entries changed since it was
     # last found to hold no unit; stale lengths are skipped when popped
     queue = [(len(entries), i) for i, entries in live.items()]
@@ -114,6 +138,14 @@ def divisor_valuations(columns: list[dict], dimension: int, ell: int, exponent: 
         inv = pow(pivot.pop(c), -1, q)
         if inv > q >> 1:
             inv -= q
+        moved = carry.pop(p, None)
+        if moved:
+            # a carried entry divisible by l^shift is cleared by column c,
+            # which leaves its row operations exact mod l^N; any other is
+            # outside the span
+            unit = ell**shift
+            outside.update(k for k, x in moved.items() if x % unit)
+            moved = {k: x for k, x in moved.items() if x and k not in outside}
         for i in holders.pop(c):
             entries = live[i]
             f = entries.pop(c) * inv
@@ -134,8 +166,18 @@ def divisor_valuations(columns: list[dict], dimension: int, ell: int, exponent: 
                 heappush(queue, (len(entries), i))
             else:
                 del live[i]
+            if moved:
+                row = carry[i]
+                for k, x in moved.items():
+                    y = row.get(k, 0) - f * x
+                    row[k] = y if -top < y < top else y % top
         diag.append(shift)
-    return diag + [exponent] * (dimension - len(diag))
+    valuations = diag + [exponent] * (dimension - len(diag))
+    if carried is None:
+        return valuations
+    # what is left sits at unpivoted rows, where only 0 mod l^N is in the span
+    outside.update(k for row in carry.values() for k, x in row.items() if x)
+    return valuations, [k not in outside for k in range(len(carried))]
 
 
 def ceil_log(x: int, ell: int) -> int:
@@ -167,7 +209,35 @@ def span_invariants(columns: list[dict], dimension: int, ell: int) -> tuple[int,
     >>> span_invariants([{0: 3, 1: 6}, {0: 1, 1: 2}], 2, 3)
     (1, 0)
     """
-    norms = sorted((_norm_exponent(col.values(), ell) for col in columns), reverse=True)
-    exponent = 1 + sum(norms[:dimension])
+    exponent = _hadamard_exponent(columns, dimension, ell)
     vals = [v for v in divisor_valuations(columns, dimension, ell, exponent) if v < exponent]
     return len(vals), sum(vals)
+
+
+def span_members(columns: list[dict], vectors: list[dict], dimension: int, ell: int) -> list[bool]:
+    """Whether each vector lies in the l-local span of the columns, all given
+    as for ``divisor_valuations``: one elimination of the columns carrying
+    the vectors.
+
+    It runs at N = ``span_invariants``' precision plus the largest norm
+    exponent of a vector.  A vector v outside the Q-span raises the rank: a
+    nonzero (r+1)-minor of [W | v] is made of v and r columns of W, which
+    Hadamard bounds by l^(N-1), so every nonzero elementary divisor of
+    [W | v] stays below N and one more factor of Z^D / ([W | v] + l^N Z^D)
+    than of W's quotient is smaller than l^N.  A vector in the Q-span but
+    outside the l-local span lowers the total valuation, which also stays
+    below N.  Either way the two quotients differ, so v is not in
+    W + l^N Z^D, while every v in the l-local span is.
+
+    >>> span_members([{0: 2}], [{0: 6}, {0: 1}, {1: 4}, {}], 2, 2)
+    [True, False, False, True]
+    """
+    exponent = _hadamard_exponent(columns, dimension, ell)
+    exponent += max((_norm_exponent(v.values(), ell) for v in vectors), default=0)
+    return divisor_valuations(columns, dimension, ell, exponent, vectors)[1]
+
+
+def _hadamard_exponent(columns: list[dict], dimension: int, ell: int) -> int:
+    """``span_invariants``' precision N."""
+    norms = sorted((_norm_exponent(col.values(), ell) for col in columns), reverse=True)
+    return 1 + sum(norms[:dimension])

@@ -29,7 +29,7 @@ import functools
 from collections import defaultdict
 from collections.abc import Sequence
 
-from .linalg import span_invariants
+from .linalg import span_members
 from .polynomials import (
     IntPoly,
     Prime,
@@ -220,8 +220,8 @@ def _presentation(module: ElementaryModule, descent: DescentDatum) -> tuple:
     Lambda/(P) is Z[T]/(P) cut by omega_e = tower_poly(l, e), deg P rows by
     Weierstrass preparation; a free or Lambda/(l^m) coordinate of
     ``_block_coordinates`` is Z[T]/(omega_e) cut by l^m (free: uncut).  Each
-    generator is one column of ``residue`` parts; without generators e is 0.
-    Every column is a ``{row: entry}`` dict of its nonzero entries, the
+    generator is one column of its ``_part`` per block; without generators e
+    is 0.  Every column is a ``{row: entry}`` dict of its nonzero entries, the
     kernel's format.  Memoised, and no caller changes a column in place.
     """
     gens = descent.generators if isinstance(descent, GenericDescent) else ()
@@ -239,10 +239,16 @@ def _presentation(module: ElementaryModule, descent: DescentDatum) -> tuple:
         layout.append((idx, rows, modulus))
         rows += modulus.degree
     columns = [
-        {r: x for i, at, m in layout for r, x in enumerate(residue(g.coords[i].coeffs, m), at) if x}
+        {r: x for i, at, m in layout for r, x in enumerate(_part(g.coords[i].coeffs, m), at) if x}
         for g in gens
     ]
     return tuple(layout), relations, columns
+
+
+def _part(coeffs: tuple[int, ...], modulus: IntPoly) -> Sequence[int]:
+    """coeffs mod the modulus: the coefficients themselves when there are no
+    more of them than its degree, else their ``residue``."""
+    return coeffs if len(coeffs) <= modulus.degree else residue(coeffs, modulus)
 
 
 def _product(column: dict[int, int], images: dict[int, tuple], q: int | None = None) -> dict:
@@ -263,12 +269,12 @@ def validate_descent(module: ElementaryModule, descent: DescentDatum) -> Validat
     Special data and generator-free generic data are always valid.  For each
     generator y the image of T·y, one fold step on its column of
     ``_presentation``, must lie in the l-local span of the generator and
-    relation columns there.  All images are tested at
-    once; only on failure are they tested one by one against the span's
-    invariants from that comparison, and the first failing T·y is the
-    witness.  Reports are memoised on the frozen arguments behind this plain
-    function, which tracing wrappers can still replace, so the quotient
-    functions validate once per (module, descent) pair.
+    relation columns there.  One elimination of that span decides all images
+    at once (``span_members``: it carries them, at the span's Hadamard
+    precision plus the largest image's norm exponent), and the first failing
+    T·y is the witness.  Reports are memoised on the frozen arguments behind
+    this plain function, which tracing wrappers can still replace, so the
+    quotient functions validate once per (module, descent) pair.
     """
     return _validate_descent(module, descent)
 
@@ -287,22 +293,19 @@ def _validate_descent(module: ElementaryModule, descent: DescentDatum) -> Valida
     shift = {r: (r + 1, (1,)) for r in range(sum(m.degree for _, _, m in layout))}
     shift.update((i + m.degree - 1, (i, [-b for b in m.coeffs[:-1]])) for _, i, m in layout)
     images = [_product(col, shift) for col in columns]
-    span = columns + relations
-    ell, dimension = module.prime.value, len(shift)
-    base = span_invariants(span, dimension, ell)
-    if base != span_invariants(span + images, dimension, ell):
-        for idx, (gen, image) in enumerate(zip(gens, images)):
-            if span_invariants([*span, image], dimension, ell) != base:
-                return ValidationReport(
-                    False,
-                    failing_generator=idx,
-                    witness=canonicalize(module, gen.times_t()),
-                    detail=(
-                        f"T * generator {idx} is not an l-local combination of the "
-                        f"generators at level {descent.level}"
-                    ),
-                )
-    return ValidationReport(True, detail=f"{len(gens)} generators stable")
+    members = span_members(columns + relations, images, len(shift), module.prime.value)
+    if all(members):
+        return ValidationReport(True, detail=f"{len(gens)} generators stable")
+    idx = members.index(False)
+    return ValidationReport(
+        False,
+        failing_generator=idx,
+        witness=canonicalize(module, gens[idx].times_t()),
+        detail=(
+            f"T * generator {idx} is not an l-local combination of the "
+            f"generators at level {descent.level}"
+        ),
+    )
 
 
 def require_valid(module: ElementaryModule, descent: DescentDatum) -> None:

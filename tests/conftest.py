@@ -55,7 +55,8 @@ def in_local_span(columns: list[list[int]], target: list[int], ell: int) -> bool
 
     columns are the generators W (each a vector); membership is decided by
     comparing the span invariants of W and [W | target].  This is the
-    one-vector-at-a-time definition the batched validation is checked against.
+    one-vector-at-a-time definition that ``span_members`` and validation are
+    checked against.
     """
     sparse = [{i: x for i, x in enumerate(col) if x} for col in [*columns, target]]
     dimension = len(target)
@@ -276,16 +277,17 @@ def kernel_shapes(monkeypatch) -> list[tuple[int, int]]:
 
 
 @pytest.fixture
-def span_shapes(monkeypatch) -> list[tuple[int, int]]:
-    """(dimension, columns) of every matrix ``span_invariants`` hands to the
-    elimination kernel, in call order.  Validation reports are memoised, so
-    the memo is cleared first and every validation runs its spans."""
-    shapes: list[tuple[int, int]] = []
+def span_shapes(monkeypatch) -> list[tuple[int, int, int]]:
+    """(dimension, columns, carried vectors) of every matrix ``span_invariants``
+    and ``span_members`` hand to the elimination kernel, in call order.
+    Validation reports are memoised, so the memo is cleared first and every
+    validation runs its elimination."""
+    shapes: list[tuple[int, int, int]] = []
     kernel = linalg.divisor_valuations
 
-    def recording(columns, dimension, *args):
-        shapes.append((dimension, len(columns)))
-        return kernel(columns, dimension, *args)
+    def recording(columns, dimension, ell, exponent, carried=None):
+        shapes.append((dimension, len(columns), len(carried or ())))
+        return kernel(columns, dimension, ell, exponent, carried)
 
     monkeypatch.setattr(linalg, "divisor_valuations", recording)
     modules._validate_descent.cache_clear()

@@ -21,11 +21,13 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from towergrowth.linalg import (
+    _hadamard_exponent,
     _norm_exponent,
     ceil_log,
     divisor_valuations,
     ell_valuation,
     span_invariants,
+    span_members,
 )
 
 from conftest import (
@@ -353,6 +355,128 @@ class TestSparseKernel:
     def test_entries_past_the_precision_fold_to_zero(self):
         assert divisor_valuations(*sparse_columns([[-32, 32], [64, 0]]), 2, 5) == [5, 5]
         assert divisor_valuations(*sparse_columns([[-31, 32]]), 2, 5) == [0]
+
+
+@st.composite
+def _membership_cases(draw):
+    """(W, vectors, D, l) in dense form, W a list of columns: up to 5 rows and
+    6 columns, columns scaled by powers of l, empty rows; the vectors are
+    combinations of W times a unit, such combinations divided by l, plus
+    l^t e_j, plus multiples of l^(N+s), and random vectors."""
+    ell = draw(_primes)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dimension, width = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    empty = set(rng.sample(range(dimension), rng.randint(0, dimension // 2)))
+    W = [
+        [
+            0 if i in empty or rng.random() < 0.3 else rng.randint(-9, 9) * ell ** rng.choice((0, 0, 1, 2))
+            for i in range(dimension)
+        ]
+        for _ in range(width)
+    ]
+    exponent = _hadamard_exponent([{i: x for i, x in enumerate(c) if x} for c in W], dimension, ell)
+    vectors = []
+    for _ in range(rng.randint(1, 6)):
+        v = [sum(c[i] * rng.randint(-4, 4) for c in W) for i in range(dimension)]
+        kind = rng.randrange(5)
+        if kind == 0:
+            v = [x * (ell * rng.randint(-3, 3) + rng.randint(1, ell - 1)) for x in v]
+        elif kind == 1 and all(x % ell == 0 for x in v):
+            v = [x // ell for x in v]
+        elif kind == 2:
+            v[rng.randrange(dimension)] += rng.choice((1, -1)) * ell ** rng.randint(0, exponent + 2)
+        elif kind == 3:
+            v = [x + rng.randint(-3, 3) * ell ** (exponent + rng.randint(0, 3)) for x in v]
+        elif kind == 4:
+            v = [rng.randint(-50, 50) for _ in range(dimension)]
+        vectors.append(v)
+    return W, vectors, dimension, ell
+
+
+def _dict(vector):
+    return {i: x for i, x in enumerate(vector) if x}
+
+
+class TestSpanMembers:
+    """The carried-vector verdict of one elimination, against the span
+    invariants of [W | v] and W compared one vector at a time."""
+
+    @seed(20261021)
+    @given(case=_membership_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_one_vector_comparison(self, case):
+        W, vectors, dimension, ell = case
+        columns, carried = [_dict(c) for c in W], [_dict(v) for v in vectors]
+        snapshot = copy.deepcopy((columns, carried))
+        got = span_members(columns, carried, dimension, ell)
+        assert got == [in_local_span(W, v, ell) for v in vectors]
+        own = span_invariants(columns, dimension, ell)
+        assert got == [span_invariants([*columns, v], dimension, ell) == own for v in carried]
+        # and from the determinantal divisors, apart from the kernel
+        base = _span_reference(W, ell)
+        assert got == [_span_reference([*W, v], ell) == base for v in vectors]
+        assert (columns, carried) == snapshot
+
+    @seed(20261022)
+    @given(case=_kernel_cases(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_carried_at_any_precision(self, case, data):
+        # v lies in W + l^N Z^D exactly when [W | v] has the same folded
+        # valuations as W at that N; carrying leaves W's valuations alone
+        rows, ell, exponent = case
+        columns, dimension = sparse_columns(rows)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        q = ell**exponent
+        vectors = []
+        for _ in range(rng.randint(0, 5)):
+            v = [sum(c.get(i, 0) * rng.randint(-3, 3) for c in columns) for i in range(dimension)]
+            if rng.random() < 0.5:
+                v = [x + rng.randint(-2, 2) * q for x in v]
+            if dimension and rng.random() < 0.6:
+                v[rng.randrange(dimension)] += rng.choice((1, -1)) * ell ** rng.randint(0, exponent + 1)
+            vectors.append(v)
+        expected = dense_divisor_valuations(rows, ell, exponent)
+        members = [
+            sorted(dense_divisor_valuations([[*row, x] for row, x in zip(rows, v)], ell, exponent))
+            == sorted(expected)
+            for v in vectors
+        ]
+        carried = [_dict(v) for v in vectors]
+        assert divisor_valuations(columns, dimension, ell, exponent, carried) == (expected, members)
+
+    def test_no_columns(self):
+        # only the zero vector lies in the span of nothing, however large N is
+        assert span_members([], [{}, {0: 1}, {1: 2**100}, {0: -3}], 2, 2) == [True, False, False, False]
+        assert span_members([], [], 3, 5) == []
+
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_in_the_q_span_but_not_l_integral(self, ell):
+        # e_1 = (1/l)·(l e_1): a pivot at shift 1 where the vector has a unit
+        assert span_members([{1: ell}], [{1: 1}, {1: ell}, {1: -(ell**2)}, {0: ell}], 2, ell) == [
+            False,
+            True,
+            True,
+            False,
+        ]
+
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_outside_the_q_span_at_the_hadamard_exponent(self, ell):
+        # l^M e_j with row j empty in W is never in the span; at M >= W's
+        # own Hadamard exponent it is 0 mod l^N unless N counts the vector
+        rng = random.Random(4000 + ell)
+        for _ in range(20):
+            W = [{i: rng.randint(-40, 40) or 1 for i in range(3)} for _ in range(rng.randint(1, 4))]
+            own = _hadamard_exponent(W, 4, ell)
+            vectors = [{3: ell**m} for m in range(max(own - 2, 0), own + 3)]
+            vectors += [{0: 1, 3: -(ell**own)}, {3: ell**own * (ell + 1)}]
+            assert span_members(W, vectors, 4, ell) == [False] * len(vectors)
+
+    def test_entries_past_the_precision_and_negative(self):
+        # mod 2^3 with W = [2 e_0]: entries move by multiples of 8 freely
+        carried = [{0: 2 + 8 * 5, 1: -8 * 3}, {0: -6}, {1: 8 - 1}, {0: -1}, {0: -8 * 7 - 4, 1: 16}]
+        got = divisor_valuations([{0: 2 - 8 * 9}], 2, 2, 3, carried)
+        assert got == ([1, 3], [True, True, False, False, True])
+        assert span_members([{0: 2 - 8 * 9}], [{0: -(2**200)}, {0: 2**200 + 1}], 1, 2) == [True, False]
 
 
 def test_import_leaves_numpy_out():

@@ -251,10 +251,24 @@ class TestValidation:
             ModuleElement((monomial(j),), (ZERO, ZERO)) for j in range(8)
         )
         descent = GenericDescent(3, gens)
+        # one elimination: the 8 generators and 2 relation columns, carrying
+        # the 8 images T·y
         assert validate_descent(module, descent).valid
-        assert span_shapes == [(10, 10), (10, 18)]
+        assert span_shapes == [(10, 10, 8)]
         assert codescent_defect(module, descent) == 8
-        assert span_shapes[2:] == [(8, 8)]
+        assert span_shapes[1:] == [(8, 8, 0)]
+
+    def test_failing_generator_last_of_many(self, span_shapes):
+        # 16 stable generators T^j in the first coordinate at l=2, e=4, then
+        # (0, 1), whose T·y = (0, T) is outside: one elimination of the 32
+        # rows and 17 generator columns, carrying the 17 images, finds it
+        gens = tuple(_pair_gen((0,) * j + (1,), ()) for j in range(16)) + (_pair_gen((), (1,)),)
+        descent = GenericDescent(4, gens)
+        report = validate_descent(RANK_TWO, descent)
+        assert span_shapes == [(32, 17, 17)]
+        assert report.failing_generator == 16
+        assert report.witness == ModuleElement((ZERO, T), ())
+        assert _assert_report_matches_definition(RANK_TWO, descent) == report
 
     def test_presentation_stores_only_nonzero_entries(self, generic_corpus):
         # prop14 at e = 6: each generator T^j is one entry of the free block
@@ -340,6 +354,19 @@ class TestValidityProperties:
                 ),
             )
         _assert_report_matches_definition(mod, GenericDescent(des.level, tuple(gens)))
+
+    @given(seed=st.integers(0, 10_000), ell=st.sampled_from([2, 3, 5]), drop=st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_dropped_generator_matches_per_generator_definition(self, seed, ell, drop):
+        # a valid datum with one generator dropped is often invalid, and the
+        # witness is the first T·y outside the span of what is left
+        case = build_generic_case(random.Random(seed), ell)
+        gens = case.descent.generators
+        if not gens:
+            return
+        drop %= len(gens)
+        kept = gens[:drop] + gens[drop + 1 :]
+        _assert_report_matches_definition(case.module, GenericDescent(case.descent.level, kept))
 
     def test_datum_with_two_distinguished_factors_at_l5(self):
         # l=5, e=2, four generators in Λ/(T^2+5) ⊕ Λ/(T+5): elimination
