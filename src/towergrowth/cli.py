@@ -12,7 +12,8 @@ Subcommands:
 Run descriptions come from files in the format of ``scenario_io`` (pass - to
 read stdin).  Every subcommand accepts ``--json`` for a machine-readable
 document with schema tag "towergrowth/1".  Exit codes: 0 success or PASS,
-1 a check ran and failed, 2 bad input, 3 a resource cap was exceeded.
+1 a check ran and failed, 2 bad input, 3 a resource cap was exceeded, 141
+the output pipe was closed (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ import argparse
 import contextlib
 import functools
 import json
+import os
+import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .fitting import (
     BoundedSpread,
@@ -136,8 +140,7 @@ def _fit_json(fit: FitResult) -> dict:
 def _emit_json(out: TextIO, command: str, payload: dict) -> None:
     doc = {"schema": SCHEMA, "command": command}
     doc.update(payload)
-    json.dump(doc, out, indent=2, sort_keys=False)
-    out.write("\n")
+    out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _compute_sequence(spec: RunSpec, k_override: int | None, cap: int) -> OrderSequence:
@@ -359,10 +362,122 @@ def _cmd_mirror(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if report.passed else 1
 
 
+class _Option(NamedTuple):
+    """One ``--flag`` of a subcommand; ``type`` bool marks a flag that takes no value."""
+
+    dest: str
+    type: Callable[[str], object]
+    default: object
+    help: str
+
+
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace, TextIO], int]
+    help: str
+    positional: tuple[str, str] | None  # (dest, help)
+    options: dict[str, _Option]  # keyed by the flag, in --help order
+
+
+def _options(*options: _Option) -> dict[str, _Option]:
+    # the flag argparse derives the same dest from
+    return {"--" + o.dest.replace("_", "-"): o for o in options}
+
+
+_FILE = ("file", "run description file, or - for stdin")
+_K = _Option("k", int, None, "override the exponent shift")
+_CAP = _Option(
+    "cap", int, DEFAULT_DIMENSION_CAP,
+    "cap on the ambient dimension and on the precision n + k (default %(default)s)",
+)
+_JSON = _Option("json", bool, False, "emit JSON")
+_RUN = _options(_K, _CAP, _JSON)
+
+# every subcommand, read by both _read_argv and _build_parser
+_COMMANDS = {
+    "orders": _Command(_cmd_orders, "order valuations over the run window", _FILE, _RUN),
+    "invariants": _Command(
+        _cmd_invariants, "structural invariants and prediction", _FILE, _options(_JSON)
+    ),
+    "fit": _Command(_cmd_fit, "fit asymptotic parameters to the sequence", _FILE, _RUN),
+    "verify": _Command(_cmd_verify, "check the prediction against the fit", _FILE, _RUN),
+    "scenario": _Command(
+        _cmd_scenario,
+        "run a built-in scenario",
+        ("name", "scenario name, optionally with arguments, e.g. prop14:e=1 "
+                 f"(known: {', '.join(scenario_names())})"),
+        _options(
+            _Option("n_min", int, None, "override window start"),
+            _Option("n_max", int, None, "override window end"),
+            _K, _CAP, _JSON,
+        ),
+    ),
+    "mirror": _Command(
+        _cmd_mirror,
+        "check mirror identities",
+        None,
+        _options(
+            _Option("level", int, None, "use the reference pair at this level"),
+            _Option("left", str, None, "rho=..,mu=..,lam_tilde=..,defect=..,stable=.."),
+            _Option("right", str, None, "same format as --left"),
+            _JSON,
+        ),
+    ),
+}
+
+# argparse reads a token that starts with "-" as a value only when it is "-"
+# or matches this (its own pattern, for a parser with no option like -1)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_value(token: str) -> bool:
+    return not token.startswith("-") or token == "-" or bool(_NEGATIVE_NUMBER.match(token))
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would return for well-formed ``argv``, else None.
+
+    Reads a subcommand name followed by any mix of its exact option names,
+    each with one value, ``--json`` and at most one positional.  Anything
+    else (help, abbreviations, ``--opt=value``, ``--``, a repeated option, a
+    value argparse would read as an option or its type rejects, and every
+    usage error) returns None and is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = _COMMANDS[argv[0]]
+    positional = command.positional[0] if command.positional else None
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = command.options.get(token)
+        if option is None:
+            if positional is None or positional in given or not _is_value(token):
+                return None
+            given[positional] = token
+        elif option.dest in given:
+            return None
+        elif option.type is bool:
+            given[option.dest] = True
+        else:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                return None
+            try:
+                given[option.dest] = option.type(value)
+            except ValueError:
+                return None
+    if positional is not None and positional not in given:
+        return None
+    defaults = {option.dest: option.default for option in command.options.values()}
+    return argparse.Namespace(command=argv[0], func=command.handler, **(defaults | given))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser for every call in this process, built on the first one.
+    """The argparse parser built from ``_COMMANDS``, kept for the process.
 
+    Only argv that ``_read_argv`` leaves alone reaches it: ``--help`` and every
+    usage error, so it is built on the first call that needs one of those.
     parse_args leaves the parser unchanged and returns a fresh Namespace, so
     sharing it carries no option value from one call to the next.
     """
@@ -372,61 +487,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "with descent data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_run: bool = True) -> None:
-        if with_run:
-            p.add_argument(
-                "--k", type=int, default=None, help="override the exponent shift"
-            )
-            p.add_argument(
-                "--cap",
-                type=int,
-                default=DEFAULT_DIMENSION_CAP,
-                help="cap on the ambient dimension and on the precision n + k "
-                "(default %(default)s)",
-            )
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    p = sub.add_parser("orders", help="order valuations over the run window")
-    p.add_argument("file", help="run description file, or - for stdin")
-    add_common(p)
-    p.set_defaults(func=_cmd_orders)
-
-    p = sub.add_parser("invariants", help="structural invariants and prediction")
-    p.add_argument("file", help="run description file, or - for stdin")
-    add_common(p, with_run=False)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("fit", help="fit asymptotic parameters to the sequence")
-    p.add_argument("file", help="run description file, or - for stdin")
-    add_common(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("verify", help="check the prediction against the fit")
-    p.add_argument("file", help="run description file, or - for stdin")
-    add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("scenario", help="run a built-in scenario")
-    p.add_argument(
-        "name",
-        help="scenario name, optionally with arguments, e.g. prop14:e=1 "
-        f"(known: {', '.join(scenario_names())})",
-    )
-    p.add_argument("--n-min", type=int, default=None, help="override window start")
-    p.add_argument("--n-max", type=int, default=None, help="override window end")
-    add_common(p)
-    p.set_defaults(func=_cmd_scenario)
-
-    p = sub.add_parser("mirror", help="check mirror identities")
-    p.add_argument(
-        "--level", type=int, default=None, help="use the reference pair at this level"
-    )
-    p.add_argument("--left", default=None, help="rho=..,mu=..,lam_tilde=..,defect=..,stable=..")
-    p.add_argument("--right", default=None, help="same format as --left")
-    add_common(p, with_run=False)
-    p.set_defaults(func=_cmd_mirror)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.positional is not None:
+            dest, help_text = command.positional
+            p.add_argument(dest, help=help_text)
+        for flag, option in command.options.items():
+            if option.type is bool:
+                p.add_argument(flag, action="store_true", help=option.help)
+            else:
+                p.add_argument(flag, type=option.type, default=option.default, help=option.help)
+        p.set_defaults(func=command.handler)
     return parser
 
 
@@ -434,19 +505,24 @@ def run_command(argv: list[str], out: TextIO | None = None, err: TextIO | None =
     """Run one CLI invocation; returns the exit code without exiting.
 
     Everything the call prints, argparse's usage errors and --help included,
-    goes to ``out`` and ``err`` (the process's streams when not given).
+    goes to ``out`` and ``err`` (the process's streams when not given).  A
+    closed ``out`` returns 141, as a shell reports for a pipeline writer.
     """
     out = out or sys.stdout
     err = err or sys.stderr
-    try:
-        # argparse prints usage errors and --help to sys.stderr and sys.stdout
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code or 0
-        return code if isinstance(code, int) else 2
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            # argparse prints usage errors and --help to sys.stderr and sys.stdout
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code or 0
+            return code if isinstance(code, int) else 2
     try:
         return args.func(args, out)
+    except BrokenPipeError:
+        return 141
     except CapExceeded as exc:
         print(f"error: {exc}", file=err)
         return 3
@@ -456,7 +532,15 @@ def run_command(argv: list[str], out: TextIO | None = None, err: TextIO | None =
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        # a closed pipe shows here, while stdout's last block is written
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # so that the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

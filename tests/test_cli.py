@@ -6,14 +6,18 @@ so they pin both the math and the output format.
 """
 
 import argparse
+import contextlib
 import io
 import json
+import os
+import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from towergrowth import cli, invariants, modules, order_valuation, parse_run, quotients, scenarios
 from towergrowth.cli import run_command
@@ -47,6 +51,17 @@ GOLDEN_TEXT = [
 ]
 
 
+# the same calls with --json and their golden documents
+GOLDEN_JSON = [
+    (("orders", "--json", MIXED), "orders_mixed.json"),
+    (("invariants", "--json", MIXED), "invariants_mixed.json"),
+    (("fit", "--json", SPECIAL), "fit_special.json"),
+    (("verify", "--json", SPECIAL), "verify_special.json"),
+    (("scenario", "--json", "prop14:e=1"), "scenario_prop14.json"),
+    (("mirror", "--json", "--level", "2"), "mirror_level2.json"),
+]
+
+
 class TestGoldenText:
     @pytest.mark.parametrize("argv,name", GOLDEN_TEXT)
     def test_matches_golden(self, argv, name):
@@ -57,17 +72,7 @@ class TestGoldenText:
 
 
 class TestGoldenJson:
-    @pytest.mark.parametrize(
-        "argv,name",
-        [
-            (("orders", "--json", MIXED), "orders_mixed.json"),
-            (("invariants", "--json", MIXED), "invariants_mixed.json"),
-            (("fit", "--json", SPECIAL), "fit_special.json"),
-            (("verify", "--json", SPECIAL), "verify_special.json"),
-            (("scenario", "--json", "prop14:e=1"), "scenario_prop14.json"),
-            (("mirror", "--json", "--level", "2"), "mirror_level2.json"),
-        ],
-    )
+    @pytest.mark.parametrize("argv,name", GOLDEN_JSON)
     def test_matches_golden(self, argv, name):
         code, out, err = run(*argv)
         assert code == 0
@@ -297,6 +302,8 @@ class TestSharedParser:
     """One parser serves every call in the process, and no call sees another's options."""
 
     def test_parser_is_built_once(self, monkeypatch):
+        # well-formed argv is read from the command table; help and usage
+        # errors build the parser on the first call that needs it
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -310,6 +317,14 @@ class TestSharedParser:
         try:
             for argv, name in GOLDEN_TEXT * 4:
                 assert run(*argv) == (0, golden(name), "")
+            assert len(built) == 0
+            for _ in range(4):
+                code, out, err = run("--help")
+                assert (code, err) == (0, "")
+                assert out.startswith("usage: towergrowth [-h]")
+                code, out, err = run("orders", MIXED, "--k", "three")
+                assert (code, out) == (2, "")
+                assert "argument --k: invalid int value: 'three'" in err
         finally:
             cli._build_parser.cache_clear()
         assert len(built) == 1
@@ -331,6 +346,119 @@ class TestSharedParser:
     def test_no_option_carries_over(self, first, first_code, second, name):
         assert run(*first)[0] == first_code
         assert run(*second) == (0, golden(name), "")
+
+
+def _readme_argv():
+    """The argv of every ``towergrowth ...`` example in the README."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("towergrowth ")]
+
+
+# the argv shapes of the benchmark's calls, with the run text for "-"
+BENCHMARK_ARGV = [
+    (("orders", "-", "--json", "--k", "3"), MIXED),
+    (("verify", SPECIAL, "--json"), None),
+    (("verify", "-", "--json"), SPECIAL),
+    (("invariants", "-", "--json"), MIXED),
+    (("scenario", "prop14:e=1", "--n-min", "1", "--n-max", "4", "--json"), None),
+    (("scenario", "prop14:e=2", "--n-max", "5", "--json"), None),
+]
+
+_HEADS = [*cli._COMMANDS, "nonsense", "-h", "--help"]
+_OPTIONS = [
+    "--k", "--cap", "--json", "--n-min", "--n-max", "--level", "--left", "--right",
+    "--js", "--le", "--k=3", "--", "-h", "--help",
+]
+_VALUES = [
+    # "\u0663" is the Arabic-Indic digit three, which int() and argparse's \d accept
+    "0", "-1", "-.5", "-1_0", "1_0", " 3", "\u0663", "-\u0663", "", "-", "-x", "-x y", "three",
+    *_OPTIONS,
+]
+# a command-like head, then options with a value each and loose tokens
+_ARGV = st.builds(
+    lambda head, pieces: [head, *(token for piece in pieces for token in piece)],
+    st.sampled_from(_HEADS),
+    st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
+            st.tuples(st.sampled_from(_VALUES)),
+        ),
+        max_size=5,
+    ),
+)
+
+
+class TestArgvReader:
+    """The command table reads well-formed argv the way argparse does, without it."""
+
+    @seed(20261019)
+    @settings(max_examples=600)
+    @given(_ARGV)
+    def test_reader_agrees_with_argparse(self, argv):
+        args = cli._read_argv(argv)
+        if args is None:
+            return
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                expected = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"read {argv!r}, which argparse rejects: {err.getvalue()}")
+        assert vars(args) == vars(expected)
+
+    def test_readme_examples_are_found(self):
+        assert len(_readme_argv()) >= 8
+
+    @pytest.mark.parametrize(
+        "argv,stdin",
+        [(argv, None) for argv, _ in GOLDEN_TEXT + GOLDEN_JSON]
+        + [(tuple(argv), None) for argv in _readme_argv()]
+        + BENCHMARK_ARGV,
+    )
+    def test_well_formed_argv_builds_no_parser(self, monkeypatch, argv, stdin):
+        def refuse():
+            raise AssertionError(f"argparse was built for {argv!r}")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        text = None if stdin is None else Path(stdin).read_text()
+        assert cli._read_argv(list(argv)) is not None
+        run(*argv, stdin=text, monkeypatch=monkeypatch)
+
+
+class TestClosedOutput:
+    """A reader that goes away is not bad input."""
+
+    class _ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("argv", [("scenario", "prop14:e=1", "--json"), ("orders", MIXED)])
+    def test_closed_out_is_141(self, argv):
+        err = io.StringIO()
+        assert run_command(list(argv), self._ClosedPipe(), err) == 141
+        assert err.getvalue() == ""
+
+    def test_closed_stdout_pipe_exits_141(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "towergrowth.cli", "scenario", "prop14:e=1", "--json"],
+                stdin=subprocess.DEVNULL,
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (141, b"")
 
 
 class TestStdinAndOverrides:
