@@ -11,7 +11,9 @@ Subcommands:
 
 Run descriptions come from files in the format of ``scenario_io`` (pass - to
 read stdin).  Every subcommand accepts ``--json`` for a machine-readable
-document with schema tag "towergrowth/1".  Exit codes: 0 success or PASS,
+document with schema tag "towergrowth/1".  Each subcommand's handler computes
+and returns its exit code, JSON payload and text rows; ``run_command`` alone
+writes, the document or the rows, in one write.  Exit codes: 0 success or PASS,
 1 a check ran and failed, 2 bad input, 3 a resource cap was exceeded, 141
 the output pipe was closed (128 + SIGPIPE, as a shell reports it).
 """
@@ -137,12 +139,6 @@ def _fit_json(fit: FitResult) -> dict:
     }
 
 
-def _emit_json(out: TextIO, command: str, payload: dict) -> None:
-    doc = {"schema": SCHEMA, "command": command}
-    doc.update(payload)
-    out.write(json.dumps(doc, indent=2) + "\n")
-
-
 def _compute_sequence(spec: RunSpec, k_override: int | None, cap: int) -> OrderSequence:
     shift = spec.shift if k_override is None else k_override
     return order_sequence(
@@ -155,17 +151,17 @@ def _compute_sequence(spec: RunSpec, k_override: int | None, cap: int) -> OrderS
     )
 
 
-def _cmd_orders(args: argparse.Namespace, out: TextIO) -> int:
+# what a handler returns: the exit code, the JSON payload and the text rows
+_Result = tuple[int, dict, list[str]]
+
+
+def _cmd_orders(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
     seq = _compute_sequence(spec, args.k, args.cap)
-    if args.json:
-        _emit_json(out, "orders", _sequence_json(seq))
-    else:
-        out.write("\n".join(_sequence_rows(seq)) + "\n")
-    return 0
+    return 0, _sequence_json(seq), _sequence_rows(seq)
 
 
-def _cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
     # validation and the defect bound build l^e-sized objects with no cap of their own
     check_presentation(spec.module, spec.descent, DEFAULT_DIMENSION_CAP)
@@ -175,78 +171,50 @@ def _cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
     predicted = predict_parameters(spec.module, spec.descent)
     # the generic prediction is lam - defect; the other cases have no defect
     defect = inv.lam - predicted.lam_tilde if case is CaseTag.GENERIC else 0
-    bound = defect_bound(spec.module, spec.descent)
-    if args.json:
-        _emit_json(
-            out,
-            "invariants",
-            {
-                "case": case.value,
-                "free_rank": inv.free_rank,
-                "mu": inv.mu,
-                "lam": inv.lam,
-                "defect": defect,
-                "defect_bound": bound,
-                "predicted": _triple_json(predicted),
-            },
-        )
-    else:
-        rows = [
-            f"case\t{case.value}",
-            f"free_rank\t{inv.free_rank}",
-            f"mu\t{inv.mu}",
-            f"lam\t{inv.lam}",
-            f"defect\t{defect}",
-            f"defect_bound\t{bound}",
-            f"predicted\t{_triple_text(predicted)}",
-        ]
-        out.write("\n".join(rows) + "\n")
-    return 0
+    fields = {
+        "case": case.value,
+        "free_rank": inv.free_rank,
+        "mu": inv.mu,
+        "lam": inv.lam,
+        "defect": defect,
+        "defect_bound": defect_bound(spec.module, spec.descent),
+    }
+    rows = [f"{key}\t{value}" for key, value in fields.items()]
+    rows.append(f"predicted\t{_triple_text(predicted)}")
+    return 0, {**fields, "predicted": _triple_json(predicted)}, rows
 
 
-def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_fit(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
-    seq = _compute_sequence(spec, args.k, args.cap)
-    fit = fit_parameters(seq)
-    if args.json:
-        _emit_json(out, "fit", _fit_json(fit))
-    else:
-        out.write("\n".join(_fit_rows(fit)) + "\n")
-    return 0
+    fit = fit_parameters(_compute_sequence(spec, args.k, args.cap))
+    return 0, _fit_json(fit), _fit_rows(fit)
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
     # the sequence checks the cap and validates before the defect is ranked
     seq = _compute_sequence(spec, args.k, args.cap)
     predicted = predict_parameters(spec.module, spec.descent)
     fit = fit_parameters(seq)
     report = verify_prediction(predicted, fit)
-    if args.json:
-        _emit_json(
-            out,
-            "verify",
-            {
-                "predicted": _triple_json(report.predicted),
-                "fitted": _triple_json(report.fitted),
-                "classification": _classification_json(report.classification),
-                "detail": report.detail,
-                "passed": report.passed,
-            },
-        )
-    else:
-        rows = [
-            f"predicted\t{_triple_text(report.predicted)}",
-            f"fitted\t{_triple_text(report.fitted)}",
-            f"classification\t{_classification_text(report.classification)}",
-            f"detail\t{report.detail}",
-            f"verdict\t{report.verdict}",
-        ]
-        out.write("\n".join(rows) + "\n")
-    return 0 if report.passed else 1
+    payload = {
+        "predicted": _triple_json(report.predicted),
+        "fitted": _triple_json(report.fitted),
+        "classification": _classification_json(report.classification),
+        "detail": report.detail,
+        "passed": report.passed,
+    }
+    rows = [
+        f"predicted\t{_triple_text(report.predicted)}",
+        f"fitted\t{_triple_text(report.fitted)}",
+        f"classification\t{_classification_text(report.classification)}",
+        f"detail\t{report.detail}",
+        f"verdict\t{report.verdict}",
+    ]
+    return 0 if report.passed else 1, payload, rows
 
 
-def _cmd_scenario(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_scenario(args: argparse.Namespace) -> _Result:
     scenario: Scenario = builtin_scenario(args.name)
     n_min = scenario.n_min if args.n_min is None else args.n_min
     n_max = scenario.n_max if args.n_max is None else args.n_max
@@ -273,33 +241,26 @@ def _cmd_scenario(args: argparse.Namespace, out: TextIO) -> int:
         )
     fit = fit_parameters(seq)
     report = verify_prediction(scenario.expected, fit)
-    if args.json:
-        _emit_json(
-            out,
-            "scenario",
-            {
-                "name": scenario.name,
-                "description": scenario.description,
-                "sequence": _sequence_json(seq),
-                "expected": _triple_json(scenario.expected),
-                "fitted": _triple_json(report.fitted),
-                "classification": _classification_json(report.classification),
-                "detail": report.detail,
-                "passed": report.passed,
-            },
-        )
-    else:
-        rows = [
-            f"name\t{scenario.name}",
-            f"description\t{scenario.description}",
-            *_sequence_rows(seq),
-            f"expected\t{_triple_text(scenario.expected)}",
-            f"fitted\t{_triple_text(report.fitted)}",
-            f"classification\t{_classification_text(report.classification)}",
-            f"verdict\t{report.verdict}",
-        ]
-        out.write("\n".join(rows) + "\n")
-    return 0 if report.passed else 1
+    payload = {
+        "name": scenario.name,
+        "description": scenario.description,
+        "sequence": _sequence_json(seq),
+        "expected": _triple_json(scenario.expected),
+        "fitted": _triple_json(report.fitted),
+        "classification": _classification_json(report.classification),
+        "detail": report.detail,
+        "passed": report.passed,
+    }
+    rows = [
+        f"name\t{scenario.name}",
+        f"description\t{scenario.description}",
+        *_sequence_rows(seq),
+        f"expected\t{_triple_text(scenario.expected)}",
+        f"fitted\t{_triple_text(report.fitted)}",
+        f"classification\t{_classification_text(report.classification)}",
+        f"verdict\t{report.verdict}",
+    ]
+    return 0 if report.passed else 1, payload, rows
 
 
 def _parse_side(text: str) -> MirrorSide:
@@ -328,7 +289,7 @@ def _parse_side(text: str) -> MirrorSide:
     )
 
 
-def _cmd_mirror(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_mirror(args: argparse.Namespace) -> _Result:
     if (args.left is None) != (args.right is None):
         raise ValueError("mirror needs either --level or both --left and --right")
     if args.left is not None:
@@ -341,25 +302,17 @@ def _cmd_mirror(args: argparse.Namespace, out: TextIO) -> int:
             raise ValueError("mirror needs either --level or both --left and --right")
         left, right = mirror_context_for_full_span(args.level)
     report = mirror_check(left, right)
-    if args.json:
-        _emit_json(
-            out,
-            "mirror",
-            {
-                "checks": [
-                    {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok}
-                    for c in report.checks
-                ],
-                "warnings": list(report.warnings),
-                "passed": report.passed,
-            },
-        )
-    else:
-        rows = [f"{c.name}\t{c.lhs}\t{c.rhs}\t{'ok' if c.ok else 'MISMATCH'}" for c in report.checks]
-        rows.extend(f"warning\t{w}" for w in report.warnings)
-        rows.append(f"verdict\t{report.verdict}")
-        out.write("\n".join(rows) + "\n")
-    return 0 if report.passed else 1
+    payload = {
+        "checks": [
+            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok} for c in report.checks
+        ],
+        "warnings": list(report.warnings),
+        "passed": report.passed,
+    }
+    rows = [f"{c.name}\t{c.lhs}\t{c.rhs}\t{'ok' if c.ok else 'MISMATCH'}" for c in report.checks]
+    rows.extend(f"warning\t{w}" for w in report.warnings)
+    rows.append(f"verdict\t{report.verdict}")
+    return 0 if report.passed else 1, payload, rows
 
 
 class _Option(NamedTuple):
@@ -372,7 +325,7 @@ class _Option(NamedTuple):
 
 
 class _Command(NamedTuple):
-    handler: Callable[[argparse.Namespace, TextIO], int]
+    handler: Callable[[argparse.Namespace], _Result]
     help: str
     positional: tuple[str, str] | None  # (dest, help)
     options: dict[str, _Option]  # keyed by the flag, in --help order
@@ -505,7 +458,8 @@ def run_command(argv: list[str], out: TextIO | None = None, err: TextIO | None =
     """Run one CLI invocation; returns the exit code without exiting.
 
     Everything the call prints, argparse's usage errors and --help included,
-    goes to ``out`` and ``err`` (the process's streams when not given).  A
+    goes to ``out`` and ``err`` (the process's streams when not given): the
+    handler's result is written here, as JSON with ``--json``, else as text.  A
     closed ``out`` returns 141, as a shell reports for a pipeline writer.
     """
     out = out or sys.stdout
@@ -520,7 +474,13 @@ def run_command(argv: list[str], out: TextIO | None = None, err: TextIO | None =
             code = exc.code or 0
             return code if isinstance(code, int) else 2
     try:
-        return args.func(args, out)
+        code, payload, rows = args.func(args)
+        if args.json:
+            doc = {"schema": SCHEMA, "command": args.command, **payload}
+            out.write(json.dumps(doc, indent=2) + "\n")
+        else:
+            out.write("\n".join(rows) + "\n")
+        return code
     except BrokenPipeError:
         return 141
     except CapExceeded as exc:

@@ -32,7 +32,8 @@ caller without a window.
 
 ``enumeration_oracle`` recomputes the same order by literal subgroup closure
 in the full finite ambient module, l^n monomials in every coordinate, from
-the exact level-n tower polynomial and tower ratio; it exists to cross-check
+the exact level-n tower polynomial and tower ratio, with ``IntPoly`` products
+and long division in place of the companion fold; it exists to cross-check
 the engine.
 """
 
@@ -56,6 +57,7 @@ from .modules import (
     require_valid,
 )
 from .polynomials import (
+    ZERO,
     IntPoly,
     multiplication_matrix,
     tower_poly,
@@ -285,10 +287,12 @@ def enumeration_oracle(
     """x(n, k) by literal subgroup closure; independent of the elimination path.
 
     Enumerates the relation subgroup of the full finite ambient module, l^n
-    monomials in every coordinate, element by element and counts cosets.  It
-    builds the exact tower_poly(l, n) and tower_ratio(l, n, e), which the fast
-    engine never does; the only definition the two share is tower_poly(l, e),
-    and tests check ``tower_poly`` against repeated multiplication by 1 + T.
+    monomials in every coordinate, element by element and counts cosets.
+    Each relation is an exact ``IntPoly`` product (l^m * T^j, P * T^j and
+    tower_ratio(l, n, e) * y) reduced by long division by tower_poly(l, n),
+    which the fast engine never builds, then mod l^N.  The only definition the
+    two share is ``tower_poly``, which tests check against repeated
+    multiplication by 1 + T; none of the engine's companion fold runs here.
     """
     require_valid(module, descent)
     _check_levels(descent, n, k)
@@ -306,59 +310,26 @@ def enumeration_oracle(
     dim = module.coordinate_count * block
     q = ell**exponent
     ambient = q**dim
+    w = tower_poly(module.prime, n)
 
-    w = tower_poly(module.prime, n).reduce_coeffs(q)
-    w_low = [w.coeff(i) for i in range(block)]  # T^block = -(low part) mod w
+    def vector(coords: list[IntPoly]) -> tuple[int, ...]:
+        # each coordinate mod w by long division, then its l^n coefficients mod q
+        reduced = [c % w for c in coords]
+        return tuple(r.coeff(i) % q for r in reduced for i in range(block))
+
     zero = (0,) * dim
-
-    def t_act(vec: tuple[int, ...]) -> tuple[int, ...]:
-        out = list(vec)
-        for off in range(0, dim, block):
-            top = vec[off + block - 1]
-            for i in range(block):
-                prev = vec[off + i - 1] if i else 0
-                out[off + i] = (prev - top * w_low[i]) % q
-        return tuple(out)
-
-    def embed(coord_idx: int, poly: IntPoly) -> tuple[int, ...]:
-        vec = zero
-        off = coord_idx * block
-        for a in reversed([poly.coeff(i) for i in range(poly.degree + 1)]):
-            vec = t_act(vec)
-            if a % q:
-                lst = list(vec)
-                lst[off] = (lst[off] + a) % q
-                vec = tuple(lst)
-        return vec
-
-    def apply_poly(poly: IntPoly, vec: tuple[int, ...]) -> tuple[int, ...]:
-        out = zero
-        for a in reversed([poly.coeff(i) for i in range(poly.degree + 1)]):
-            out = t_act(out)
-            if a % q:
-                out = tuple((x + a * y) % q for x, y in zip(out, vec))
-        return out
-
     generators: list[tuple[int, ...]] = []
     for idx, factor in enumerate(module.torsion_factors):
-        coord = module.free_rank + idx
-        base = (
-            embed(coord, IntPoly((ell**factor.exponent,)))
-            if isinstance(factor, LPower)
-            else embed(coord, factor.poly)
+        coords = [ZERO] * module.coordinate_count
+        annihilator = (
+            IntPoly((ell**factor.exponent,)) if isinstance(factor, LPower) else factor.poly
         )
-        vec = base
-        for _ in range(block):
-            generators.append(vec)
-            vec = t_act(vec)
+        for j in range(block):
+            coords[module.free_rank + idx] = annihilator.shift(j)
+            generators.append(vector(coords))
     if isinstance(descent, GenericDescent) and descent.generators:
         ratio = tower_ratio(module.prime, n, descent.level)
-        for gen in descent.generators:
-            vec = zero
-            for c_idx, coord in enumerate(gen.coords):
-                part = embed(c_idx, coord)
-                vec = tuple((x + y) % q for x, y in zip(vec, part))
-            generators.append(apply_poly(ratio, vec))
+        generators.extend(vector([ratio * c for c in gen.coords]) for gen in descent.generators)
 
     subgroup = {zero}
     for g in generators:

@@ -93,53 +93,51 @@ def _full_span_generators(
     return tuple(gens)
 
 
-def full_span_scenario(level: int = 0) -> Scenario:
-    """Rank-one module at l=2 whose generators span everything at level e."""
+def _full_span_scenario(
+    ell: int, rank: int, level: int, name: str, description: str
+) -> Scenario:
+    """Free module of the given rank whose generators span everything at
+    level e; the defect removes rank * l^e from lam_tilde."""
     if level < 0:
         raise ValueError("descent level must be nonnegative")
-    module = ElementaryModule(prime=2, free_rank=1)
-    descent = lambda: GenericDescent(level, _full_span_generators(module, level))
-    n_min, n_max = default_level_range(2, level)
-    expected = ParamTriple(1, 0, -(2**level), Grade.BOUNDED)
+    module = ElementaryModule(prime=ell, free_rank=rank)
+    n_min, n_max = default_level_range(ell, level)
     return Scenario(
-        name=f"prop14:e={level}",
-        description=(
-            "free rank one at l=2 with a full span of generators at level "
-            f"{level}; the defect removes 2^{level} from lam_tilde"
-        ),
+        name=name,
+        description=description,
         module=module,
-        descent=descent,
-        expected=expected,
+        descent=lambda: GenericDescent(level, _full_span_generators(module, level)),
+        expected=ParamTriple(rank, 0, -rank * ell**level, Grade.BOUNDED),
         n_min=n_min,
         n_max=n_max,
+    )
+
+
+def full_span_scenario(level: int = 0) -> Scenario:
+    """Rank-one module at l=2 whose generators span everything at level e."""
+    return _full_span_scenario(
+        2,
+        1,
+        level,
+        f"prop14:e={level}",
+        "free rank one at l=2 with a full span of generators at level "
+        f"{level}; the defect removes 2^{level} from lam_tilde",
     )
 
 
 def replicated_full_span_scenario(ell: int = 3, level: int = 0) -> Scenario:
     """Free module of rank (l-1)/2 at an odd prime, full span per coordinate."""
-    prime = as_prime(ell)
-    if prime.value == 2:
+    ell = as_prime(ell).value
+    if ell == 2:
         raise ValueError("this scenario needs an odd prime")
-    if level < 0:
-        raise ValueError("descent level must be nonnegative")
-    rank = (prime.value - 1) // 2
-    module = ElementaryModule(prime=prime, free_rank=rank)
-    descent = lambda: GenericDescent(level, _full_span_generators(module, level))
-    n_min, n_max = default_level_range(prime.value, level)
-    expected = ParamTriple(
-        rank, 0, -rank * prime.value**level, Grade.BOUNDED
-    )
-    return Scenario(
-        name=f"prop15:l={prime.value},e={level}",
-        description=(
-            f"free rank {rank} at l={prime.value} with full spans at level "
-            f"{level}; the defect removes {rank}*{prime.value}^{level}"
-        ),
-        module=module,
-        descent=descent,
-        expected=expected,
-        n_min=n_min,
-        n_max=n_max,
+    rank = (ell - 1) // 2
+    return _full_span_scenario(
+        ell,
+        rank,
+        level,
+        f"prop15:l={ell},e={level}",
+        f"free rank {rank} at l={ell} with full spans at level "
+        f"{level}; the defect removes {rank}*{ell}^{level}",
     )
 
 

@@ -28,6 +28,7 @@ from towergrowth import (
     IntPoly,
     LPower,
     ModuleElement,
+    SpecialDescent,
     cyclotomic_factors,
     linalg,
     modules,
@@ -35,7 +36,7 @@ from towergrowth import (
     quotients,
     tower_poly,
 )
-from towergrowth.linalg import ell_valuation, span_invariants
+from towergrowth.linalg import divisor_valuations, ell_valuation, span_invariants
 from towergrowth.polynomials import ONE, ZERO
 
 CORPUS_SEED = 20260819
@@ -126,6 +127,42 @@ def dense_divisor_valuations(rows: list[list[int]], ell: int, exponent: int) -> 
         diag.append(best_v)
         t += 1
     return diag + [exponent] * (m - t)
+
+
+def literal_order_valuation(module, descent, n: int, k: int) -> int:
+    """x(n, k) from the literal level-n presentation, the reference that
+    ``order_valuation`` is checked against past the enumeration's reach.
+
+    The ambient is every coordinate in the monomial basis of Z[T]/(omega_n),
+    coordinate_count * l^n rows.  Its relations are l^m * T^j and P * T^j
+    for j < l^n and nu_{n,e} * y for each generator y (no T-shifts of Y), each
+    an exact ``IntPoly`` product reduced by long division by omega_n; the
+    kernel takes l^N with N = n + k.  So no split-off, no level-e matrix and
+    no lift: it shares only ``tower_poly`` and the kernel with the engine.
+    """
+    ell, count = module.prime.value, module.coordinate_count
+    block = ell**n
+    omega = tower_poly(ell, n)
+
+    def column(coords) -> dict[int, int]:
+        # the rows of each (coordinate, polynomial) pair, reduced mod omega_n
+        return {
+            c * block + i: a
+            for c, poly in coords
+            for i, a in enumerate((poly % omega).coeffs)
+            if a
+        }
+
+    columns = []
+    for idx, factor in enumerate(module.torsion_factors):
+        ann = IntPoly((ell**factor.exponent,)) if isinstance(factor, LPower) else factor.poly
+        coord = module.free_rank + idx
+        columns += [column([(coord, ann.shift(j))]) for j in range(block)]
+    if isinstance(descent, GenericDescent) and descent.generators:
+        nu = omega // tower_poly(ell, descent.level)
+        columns += [column(enumerate(nu * c for c in gen.coords)) for gen in descent.generators]
+    value = sum(divisor_valuations(columns, count * block, ell, n + k))
+    return value + n + k if isinstance(descent, SpecialDescent) else value
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,7 +19,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from towergrowth import cli, invariants, modules, order_valuation, parse_run, quotients, scenarios
+from towergrowth import (
+    OrderSequence,
+    cli,
+    fit_parameters,
+    invariants,
+    modules,
+    order_valuation,
+    parse_run,
+    quotients,
+    scenarios,
+)
 from towergrowth.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -503,6 +513,22 @@ class TestStdinAndOverrides:
         assert code == 0
         assert "verdict\tPASS" in out
 
+    SIDE = "rho=1,mu=0,lam_tilde=-4,defect=0,stable=1"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--level", "1", "--left", SIDE, "--right", SIDE),
+             "pass either --level or explicit sides, not both"),
+            ((), "mirror needs either --level or both --left and --right"),
+            (("--left", SIDE), "mirror needs either --level or both --left and --right"),
+            (("--left", "rho=1,mu", "--right", SIDE), "malformed mirror side field 'mu'"),
+            (("--left", SIDE, "--right", "rho=x,mu=0"), "mirror side field 'rho' needs an integer"),
+        ],
+    )
+    def test_mirror_usage_errors(self, argv, message):
+        assert run("mirror", *argv) == (2, "", f"error: {message}\n")
+
     def test_mirror_side_field_errors(self):
         code, _, err = run("mirror", "--left", "rho=1", "--right", "rho=1")
         assert code == 2
@@ -514,6 +540,32 @@ class TestStdinAndOverrides:
         )
         assert code == 2
         assert "unknown" in err
+
+
+class TestClassificationRendering:
+    """The fit's classification as ``fit`` writes it, text row and JSON.  No
+    engine datum has been seen to give a completed fit that is not ultimately
+    constant, so planted sequences reach the other two kinds."""
+
+    @pytest.mark.parametrize(
+        "values,text,doc",
+        [
+            (
+                [n * 2**n + n % 2 for n in range(1, 9)],
+                "bounded-spread low=0 high=1",
+                {"kind": "bounded-spread", "low": 0, "high": 1},
+            ),
+            (
+                [2**n + 5 * (n % 3) for n in range(1, 9)],
+                "unbounded trend=increasing",
+                {"kind": "unbounded", "trend": "increasing"},
+            ),
+        ],
+    )
+    def test_fit_rows_and_payload(self, values, text, doc):
+        fit = fit_parameters(OrderSequence(2, 0, 0, 1, tuple(values)))
+        assert f"classification\t{text}" in cli._fit_rows(fit)
+        assert cli._fit_json(fit)["classification"] == doc
 
 
 # negatives, 0, a few small values, and huge values up to 10^12

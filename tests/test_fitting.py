@@ -124,6 +124,13 @@ class TestPerturbedFits:
         assert fit.classification == Unbounded(trend="oscillating")
         assert fit.spread == 100
 
+    @pytest.mark.parametrize("sign,trend", [(1, "increasing"), (-1, "decreasing")])
+    def test_drifting_residual_trend(self, sign, trend):
+        # residuals 5, 10, 0, ... (or their negatives): the last above the first
+        fit = fit_parameters(_seq([2**n + sign * 5 * (n % 3) for n in range(1, 9)]))
+        assert (fit.params.rho, fit.params.mu, fit.params.lam_tilde) == (0, 1, 0)
+        assert fit.classification == Unbounded(trend=trend)
+
     def test_widened_bound_turns_unbounded_into_ambiguous(self):
         vals = [n * 2**n + 50 * (-1) ** n for n in range(1, 8)]
         with pytest.raises(AmbiguousFitError) as exc:

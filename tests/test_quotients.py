@@ -31,12 +31,14 @@ from towergrowth import (
     order_sequence,
     order_valuation,
     parse_run,
+    predict_parameters,
     quotient_group,
+    scenario_names,
 )
-from towergrowth import modules, quotients
+from towergrowth import modules, polynomials, quotients
 from towergrowth.cli import run_command
 
-from conftest import build_generic_case, first_level_over_by_multiplying
+from conftest import build_generic_case, first_level_over_by_multiplying, literal_order_valuation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -140,6 +142,11 @@ class TestPreconditions:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             order_valuation(LAMBDA, TRIVIAL, -1, k=3)
+
+    def test_group_below_descent_level_rejected(self):
+        s = builtin_scenario("prop14:e=2")
+        with pytest.raises(ValueError, match="level n=1 is below the descent level e=2"):
+            quotient_group(s.module, s.descent, 1, k=1)
 
     def test_sequence_window_validation(self):
         with pytest.raises(ValueError):
@@ -294,6 +301,108 @@ class TestCaps:
             n_min = descent.level + 1
             order_sequence(module, descent, n_min, n_min + 2, k=3, dimension_cap=10**6)
         assert calls == []
+
+
+class TestDivisionOfLabour:
+    """The engine computes with the companion fold alone: with every IntPoly
+    product and division made to fail, validation, the defect, the
+    prediction, the quotients, the registry scenarios and the commands on
+    the golden run files still run.  Those operations serve only the
+    references (the enumeration oracle, the literal route, the corpus)."""
+
+    ARITHMETIC = ("__mul__", "__rmul__", "__pow__", "__divmod__", "__floordiv__", "__mod__")
+
+    def test_engine_runs_no_intpoly_arithmetic(self, monkeypatch):
+        rngs = {ell: random.Random(8000 + ell) for ell in (2, 3, 5)}
+        draws = [build_generic_case(rngs[ell], ell) for ell in (2, 3, 5) for _ in range(20)]
+        commands = ("orders", "invariants", "fit", "verify")
+        argvs = [
+            *(["scenario", name] for name in scenario_names()),
+            *([command, str(path)] for path in sorted(GOLDEN.glob("*.run")) for command in commands),
+        ]
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            return run_command(argv, out, err), out.getvalue(), err.getvalue()
+
+        outputs = [run(argv) for argv in argvs]
+
+        def forbidden(*args):
+            raise AssertionError("IntPoly arithmetic in the engine")
+
+        for name in self.ARITHMETIC:
+            monkeypatch.setattr(IntPoly, name, forbidden)
+        for memo in (
+            modules._validate_descent,
+            modules._presentation,
+            polynomials._tower_poly_cached,
+            polynomials._tower_ratio_cached,
+        ):
+            memo.cache_clear()
+        for case in draws:
+            module, descent = case.module, case.descent
+            n = descent.level + 1
+            assert modules.validate_descent(module, descent).valid
+            codescent_defect(module, descent)
+            predict_parameters(module, descent)
+            order_sequence(module, descent, n, n + 3, k=1, dimension_cap=10**6)
+            quotient_group(module, descent, n + 1, k=-1)
+        # the same exit codes and bytes as with IntPoly arithmetic in place
+        assert [run(argv) for argv in argvs] == outputs
+
+
+class TestLiteralRoute:
+    """``order_valuation`` against the literal level-n presentation of
+    ``conftest.literal_order_valuation`` at levels the enumeration cannot
+    close: every n from e+1 to 8, 5 and 3 at l = 2, 3 and 5."""
+
+    @pytest.mark.parametrize("ell,top", [(2, 8), (3, 5), (5, 3)])
+    def test_generic_draws_match_literal_route(self, ell, top):
+        rng = random.Random(ell)
+        points = 0
+        for _ in range(30):
+            case = build_generic_case(rng, ell)
+            module, descent = case.module, case.descent
+            for n in range(descent.level + 1, top + 1):
+                for k in (-1, 0, 2):
+                    if n + k >= 1:
+                        expected = literal_order_valuation(module, descent, n, k)
+                        assert order_valuation(module, descent, n, k) == expected, (n, k)
+                        points += 1
+        assert points >= 150
+
+
+class TestSpecialDescentIdentity:
+    """Special descent on E is trivial descent on E + Lambda/(T): the summand
+    Z/l^N the special case adds is Lambda/(T, omega_n, l^N), and deg T = 1 is
+    its extra one in lam_tilde."""
+
+    @pytest.mark.parametrize("ell,top", [(2, 6), (3, 3), (5, 2)])
+    def test_special_summand_is_lambda_mod_t(self, ell, top):
+        rng = random.Random(100 + ell)
+        enumerated = 0
+        for _ in range(30):
+            module = build_generic_case(rng, ell).module
+            extended = ElementaryModule(
+                prime=ell,
+                free_rank=module.free_rank,
+                torsion_factors=(*module.torsion_factors, DistinguishedFactor(IntPoly((0, 1)))),
+            )
+            special, trivial = (module, SpecialDescent()), (extended, TRIVIAL)
+            assert predict_parameters(*special) == predict_parameters(*trivial)
+            for n in range(1, top + 1):
+                for k in sorted({1 - n, 0, 2}):
+                    x = order_valuation(*special, n, k)
+                    assert order_valuation(*trivial, n, k) == x, (n, k)
+                    if n > 2:
+                        continue
+                    try:
+                        slow = enumeration_oracle(*special, n, k, element_cap=2**20)
+                        assert enumeration_oracle(*trivial, n, k, element_cap=2**20) == slow == x
+                        enumerated += 1
+                    except CapExceeded:
+                        pass
+        assert enumerated >= 3
 
 
 class TestEnumerationAgreement:

@@ -119,6 +119,15 @@ class TestParseErrors:
                 6,
                 "kind",
             ),
+            ("[prime\nl = 2\n", 1, "unterminated section header"),
+            ("[prime]\nl = 2\n[module]\nfree_rank = -1\n", 4, "nonnegative"),
+            ("[prime]\nl = 2\n[module]\npoly = []\n", 4, "degree at least one"),
+            (
+                "[prime]\nl = 2\n[module]\nfree_rank = 1\n[descent]\nkind = special\n"
+                "generator = [[1]]\n",
+                7,
+                "special descent takes no generators",
+            ),
         ],
     )
     def test_line_numbered_errors(self, text, line, fragment):

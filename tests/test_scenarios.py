@@ -56,6 +56,17 @@ class TestFullSpanScenarios:
         with pytest.raises(ValueError):
             replicated_full_span_scenario(2, 0)
 
+    def test_arguments_are_checked_in_order(self):
+        with pytest.raises(ValueError, match="descent level must be nonnegative"):
+            full_span_scenario(-1)
+        with pytest.raises(ValueError, match="descent level must be nonnegative"):
+            replicated_full_span_scenario(3, -1)
+        # the prime is checked before the level
+        with pytest.raises(ValueError, match="needs an odd prime"):
+            replicated_full_span_scenario(2, -1)
+        with pytest.raises(ValueError, match="4 is not prime"):
+            replicated_full_span_scenario(4, -1)
+
     def test_descent_is_built_on_first_read(self, monkeypatch):
         calls = []
         build = scenarios._full_span_generators
