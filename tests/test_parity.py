@@ -11,6 +11,13 @@ k in {0, 1, 3}.  Errors are part of the output, by type and message.  The
 digests were frozen from the engine as it stood before the level-e
 presentation was memoised and reduced by ``residue``; any change to an
 output changes the digest of the group of ten draws that holds it.
+
+A fourth output, ``windows``, hashes ``order_sequence`` over the window
+e+1..e+4 at k in {-1, 0, 2}, with the dimension cap raised to 10^6 so that
+the l = 5 windows are computed rather than capped.  Its digests were frozen
+from the engine as it stood when every level of a window was reduced on its
+own, so they guard the one reduction per window against the level-by-level
+answers.
 """
 
 import functools
@@ -23,6 +30,7 @@ from towergrowth import (
     CapExceeded,
     GenericDescent,
     codescent_defect,
+    order_sequence,
     quotient_group,
     validate_descent,
 )
@@ -66,6 +74,11 @@ def _outputs(kind, cases):
                 yield _outcome(validate_descent, module, descent)
             elif kind == "defect":
                 yield _outcome(codescent_defect, module, descent)
+            elif kind == "windows":
+                e = descent.level
+                for k in (-1, 0, 2):
+                    seq = _outcome(order_sequence, module, descent, e + 1, e + 4, k, dimension_cap=10**6)
+                    yield f"{k} {seq}"
             else:
                 for n in range(descent.level, descent.level + 3):
                     for k in (0, 1, 3):
@@ -82,7 +95,7 @@ def _digest(kind, source, index):
 def _groups():
     for source, (_, _, count) in SOURCES.items():
         for index in range(-(-count // GROUP)):
-            for kind in ("validation", "defect", "quotients"):
+            for kind in ("validation", "defect", "quotients", "windows"):
                 yield kind, source, index
 
 
@@ -147,6 +160,26 @@ FROZEN = {
     ("validation", 7005, 2): "55c4154f9f17174e",
     ("defect", 7005, 2): "bc4e37e69fd93a26",
     ("quotients", 7005, 2): "13554ae664a5d4c6",
+    ("windows", "corpus", 0): "ad4794f67c0e5761",
+    ("windows", "corpus", 1): "04d17a070d449a07",
+    ("windows", "corpus", 2): "420e2848aa497aaf",
+    ("windows", "corpus", 3): "4fffdadbcc4100ed",
+    ("windows", "corpus", 4): "346b90b54cfd6e65",
+    ("windows", "corpus", 5): "e53b9a84723d52fb",
+    ("windows", "corpus", 6): "a8646767c5d54119",
+    ("windows", "corpus", 7): "c54e25d783978da4",
+    ("windows", "corpus", 8): "17428209b2fda929",
+    ("windows", "corpus", 9): "466c112d1969b2ea",
+    ("windows", "corpus", 10): "c61f8804fb917753",
+    ("windows", 7001, 0): "57ee47d4789bbe36",
+    ("windows", 7001, 1): "b8d837ca6bbffa87",
+    ("windows", 7001, 2): "bcbf6b4509599327",
+    ("windows", 7003, 0): "21a81724aa2590f8",
+    ("windows", 7003, 1): "b48ed754393678b2",
+    ("windows", 7003, 2): "959fc18f6629ff26",
+    ("windows", 7005, 0): "33cbcac2328a5995",
+    ("windows", 7005, 1): "4c3da0a41e6c34cd",
+    ("windows", 7005, 2): "386a98659bb51d67",
 }
 
 
