@@ -37,6 +37,7 @@ from .fitting import (
     FitResult,
     UltimatelyConstant,
     Unbounded,
+    check_fit_window,
     fit_parameters,
     verify_prediction,
 )
@@ -49,7 +50,7 @@ from .invariants import (
 )
 from .modules import CaseTag, classify_case, require_valid
 from .quotients import DEFAULT_DIMENSION_CAP, CapExceeded, OrderSequence, order_sequence
-from .quotients import check_caps, check_presentation
+from .quotients import check_caps, check_presentation, check_window
 from .scenario_io import RunSpec, parse_run
 from .scenarios import (
     MirrorSide,
@@ -139,8 +140,17 @@ def _fit_json(fit: FitResult) -> dict:
     }
 
 
-def _compute_sequence(spec: RunSpec, k_override: int | None, cap: int) -> OrderSequence:
+def _compute_sequence(
+    spec: RunSpec, k_override: int | None, cap: int, fitted: bool = False
+) -> OrderSequence:
+    """x(n, k) over the run's window.  A window to be fitted first passes the
+    checks ``order_sequence`` makes before validation, so that a capped one
+    still exits 3, and is then refused if it is short, before validation or
+    any level."""
     shift = spec.shift if k_override is None else k_override
+    if fitted:
+        check_window(spec.module, spec.descent, spec.n_min, spec.n_max, shift, cap)
+        check_fit_window(spec.n_min, spec.n_max)
     return order_sequence(
         spec.module,
         spec.descent,
@@ -186,14 +196,14 @@ def _cmd_invariants(args: argparse.Namespace) -> _Result:
 
 def _cmd_fit(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
-    fit = fit_parameters(_compute_sequence(spec, args.k, args.cap))
+    fit = fit_parameters(_compute_sequence(spec, args.k, args.cap, fitted=True))
     return 0, _fit_json(fit), _fit_rows(fit)
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
     # the sequence checks the cap and validates before the defect is ranked
-    seq = _compute_sequence(spec, args.k, args.cap)
+    seq = _compute_sequence(spec, args.k, args.cap, fitted=True)
     predicted = predict_parameters(spec.module, spec.descent)
     fit = fit_parameters(seq)
     report = verify_prediction(predicted, fit)
@@ -221,6 +231,7 @@ def _cmd_scenario(args: argparse.Namespace) -> _Result:
     shift = scenario.shift if args.k is None else args.k
     # the full-span descent (l^e generators) is built once the window passes
     check_caps(scenario.module, n_min, n_max, shift, args.cap)
+    check_fit_window(n_min, n_max)
     seq = order_sequence(
         scenario.module,
         scenario.descent,

@@ -169,6 +169,13 @@ def _classify(residuals: list[int], n_min: int) -> Classification:
     return BoundedSpread(low=min(residuals), high=max(residuals))
 
 
+def check_fit_window(n_min: int, n_max: int) -> None:
+    """A window of levels the fitter can read: at least four of them, so
+    that callers reject a shorter one before computing any level."""
+    if n_max - n_min < 3:
+        raise ValueError("fitting needs at least four consecutive entries")
+
+
 def fit_parameters(
     seq: OrderSequence, *, spread_bound: int | None = None
 ) -> FitResult:
@@ -177,8 +184,7 @@ def fit_parameters(
     Raises ``AmbiguousFitError`` when several triples explain the window
     equally well and ``ValueError`` on windows that are too short.
     """
-    if len(seq.values) < 4:
-        raise ValueError("fitting needs at least four consecutive entries")
+    check_fit_window(seq.n_min, seq.n_max)
 
     def bound_for(lam_: int) -> int:
         return default_spread_bound(lam_, seq.level) if spread_bound is None else spread_bound

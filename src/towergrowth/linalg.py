@@ -86,7 +86,55 @@ def divisor_valuations(
     """
     if exponent < 1:
         raise ValueError("exponent must be at least 1")
-    q = top = ell**exponent
+    top = ell**exponent
+    live, holders = _live_rows(columns, top)
+    # the carried entries by row, {vector: entry}, kept in (-l^N, l^N)
+    carry: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for k, vector in enumerate(carried or ()):
+        for i, x in vector.items():
+            if not -top < x < top:
+                x %= top
+            if x:
+                carry[i][k] = x
+    diag, outside = _eliminate(live, holders, carry, ell, exponent)
+    valuations = diag + [exponent] * (dimension - len(diag))
+    if carried is None:
+        return valuations
+    # what is left sits at unpivoted rows, where only 0 mod l^N is in the span
+    outside.update(k for row in carry.values() for k, x in row.items() if x)
+    return valuations, [k not in outside for k in range(len(carried))]
+
+
+def unit_pivots(
+    columns: list[dict], rows: Collection[int], ell: int, exponent: int
+) -> tuple[int, list[dict]]:
+    """The unit phase of ``divisor_valuations`` with pivots only in ``rows``.
+
+    Clears a unit pivot in one of the given rows while one is left, as the
+    kernel's first phase does, and stops there, without dividing by l.
+    Returns the number of pivots and what is left of the matrix, its Schur
+    complement, as columns in the same format (entries in (-l^N, l^N)).  Each
+    pivot adds a unit divisor, so Z^D / (columns + l^N Z^D) is
+    Z^(D - pivots) / (remainder + l^N Z^(D - pivots)) on the rows left, and so
+    is the same quotient mod l^M for every M <= N.  A pivot row is never
+    changed by a left factor that fixes it, so the complement commutes with
+    such a factor (``quotients`` applies one per level).
+
+    >>> unit_pivots([{0: 1, 1: 2}, {0: 3, 1: 4}], [0], 2, 3)
+    (1, [{1: -2}])
+    """
+    live, holders = _live_rows(columns, ell**exponent)
+    diag, _ = _eliminate(live, holders, {}, ell, exponent, set(rows))
+    remainder: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for i, entries in live.items():
+        for j, x in entries.items():
+            remainder[j][i] = x
+    return len(diag), list(remainder.values())
+
+
+def _live_rows(columns: list[dict], q: int) -> tuple[defaultdict, defaultdict]:
+    """The matrix by rows, {column: entry} with entries in (-q, q), and the
+    rows holding each column."""
     live: defaultdict[int, dict[int, int]] = defaultdict(dict)
     holders: defaultdict[int, set[int]] = defaultdict(set)
     for j, column in enumerate(columns):
@@ -96,14 +144,17 @@ def divisor_valuations(
             if x:
                 live[i][j] = x
                 holders[j].add(i)
-    # the carried entries by row, {vector: entry}, kept in (-l^N, l^N)
-    carry: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for k, vector in enumerate(carried or ()):
-        for i, x in vector.items():
-            if not -top < x < top:
-                x %= top
-            if x:
-                carry[i][k] = x
+    return live, holders
+
+
+def _eliminate(
+    live: dict, holders: dict, carry: dict, ell: int, exponent: int, pivot_rows: set | None = None
+) -> tuple[list[int], set[int]]:
+    """The pivot loop: the shift of every pivot in order, and the carried
+    vectors found outside the span.  ``live``, ``holders`` and ``carry`` are
+    reduced in place.  Given ``pivot_rows``, pivots are taken only there and
+    the loop stops once none of them holds a unit."""
+    q = top = ell**exponent
     outside: set[int] = set()
     # (length, row) of every live row whose entries changed since it was
     # last found to hold no unit; stale lengths are skipped when popped
@@ -116,10 +167,14 @@ def divisor_valuations(
             size, p = heappop(queue)
             pivot = live.get(p)
             if pivot is not None and len(pivot) == size:
+                if pivot_rows is not None and p not in pivot_rows:
+                    continue
                 c = next((j for j, x in pivot.items() if x % ell), None)
                 if c is not None:
                     break
         else:
+            if pivot_rows is not None:
+                break
             # no unit left: every live entry is divisible by l
             shift += 1
             q //= ell
@@ -172,12 +227,7 @@ def divisor_valuations(
                     y = row.get(k, 0) - f * x
                     row[k] = y if -top < y < top else y % top
         diag.append(shift)
-    valuations = diag + [exponent] * (dimension - len(diag))
-    if carried is None:
-        return valuations
-    # what is left sits at unpivoted rows, where only 0 mod l^N is in the span
-    outside.update(k for row in carry.values() for k, x in row.items() if x)
-    return valuations, [k not in outside for k in range(len(carried))]
+    return diag, outside
 
 
 def ceil_log(x: int, ell: int) -> int:

@@ -25,7 +25,7 @@ import dataclasses
 import functools
 import itertools
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 
 def _is_prime(n: int) -> bool:
@@ -321,27 +321,47 @@ def tower_residues(
 ) -> list[int]:
     """tower_ratio(l, n, e) = nu_{n,e} modulo (modulus_poly, modulus_int).
 
-    The ratio is the product over e <= i < n of 1 + u_i + ... + u_i^(l-1),
-    where u_i = (1 + T)^(l^i).  Each level builds one multiplication matrix,
-    that of u_i, and applies it 2(l - 1) times: to the running ratio for
-    the factor, and to u_i for u_{i+1} = u_i^l.  That is O(n * l) products
-    of residues of degree below deg(modulus_poly), never the l^n
-    coefficients of the ratio.  The result lists deg(modulus_poly)
-    coefficients in [0, modulus_int), low degree first; modulus_poly must be
-    monic.  tower_poly(l, n) itself is nu_{n,0} * T.
+    The n-th level of ``tower_residue_steps``: n multiplication matrices of
+    degree deg(modulus_poly), never the l^n coefficients of the ratio.  The
+    result lists deg(modulus_poly) coefficients in [0, modulus_int), low
+    degree first; modulus_poly must be monic.  tower_poly(l, n) itself is
+    nu_{n,0} * T.
 
     >>> tower_residues(2, 3, 1, T, 16)  # T = 0: nu = l^(n-e)
     [4]
     >>> tower_residues(2, 3, 1, IntPoly((2, 0, 1)), 16)
     [0, 4]
     """
-    ell = as_prime(ell).value
     if e < 0 or n < e:
         raise ValueError(f"need 0 <= e <= n, got e={e}, n={n}")
+    steps = tower_residue_steps(ell, e, modulus_poly, modulus_int)
+    return next(itertools.islice(steps, n - e, None))
+
+
+def tower_residue_steps(
+    ell: Prime | int, e: int, modulus_poly: IntPoly, modulus_int: int
+) -> Iterator[list[int]]:
+    """nu_{n,e} modulo (modulus_poly, modulus_int) for n = e, e+1, ..., as
+    ``tower_residues`` lists it.
+
+    The ratio is the product over e <= i < n of 1 + u_i + ... + u_i^(l-1),
+    where u_i = (1 + T)^(l^i).  Each level builds one multiplication matrix,
+    that of u_i, and applies it 2(l - 1) times: to the running ratio for
+    the factor, and to u_i for u_{i+1} = u_i^l.  Both are carried from one
+    level to the next, so the levels up to n cost n matrices in all: a
+    window of levels read at the precision of its top costs what its top
+    level does alone.  Reduced mod a divisor of modulus_int, each is the
+    ratio at that precision, since modulus_poly is monic.
+    """
+    ell = as_prime(ell).value
+    if e < 0:
+        raise ValueError(f"need e >= 0, got e={e}")
     q = modulus_int
     ratio = residue((1,), modulus_poly, q)
     u = residue((1, 1), modulus_poly, q)
-    for i in range(n):
+    for i in itertools.count():
+        if i >= e:
+            yield ratio
         rows = [*zip(*multiplication_matrix(u, modulus_poly, q))]
         terms = [ratio]  # ratio * u_i^j for j < l, summed into the factor
         for _ in range(ell - 1):
@@ -349,7 +369,6 @@ def tower_residues(
                 terms.append([sum(map(operator.mul, row, terms[-1])) % q for row in rows])
             u = [sum(map(operator.mul, row, u)) % q for row in rows]
         ratio = [sum(c) % q for c in zip(*terms)]
-    return ratio
 
 
 def residue(p: Sequence[int], c: IntPoly, q: int | None = None) -> list[int]:
@@ -376,9 +395,12 @@ def residue(p: Sequence[int], c: IntPoly, q: int | None = None) -> list[int]:
     return col
 
 
-def multiplication_matrix(p: Sequence[int], c: IntPoly, q: int | None = None) -> list[list[int]]:
+def multiplication_matrix(
+    p: Sequence[int], c: IntPoly, q: int | None = None, count: int | None = None
+) -> list[list[int]]:
     """Multiplication by p on Z[T]/(c), as the columns (T^j * p) mod c, j < deg(c):
-    ``residue(p, c, q)``, then deg(c) - 1 more steps of its fold.
+    ``residue(p, c, q)``, then deg(c) - 1 more steps of its fold.  Given
+    ``count``, only the first ``count`` columns.
 
     >>> multiplication_matrix((1, 1), IntPoly((2, 0, 1)))
     [[1, 1], [-2, 1]]
@@ -386,6 +408,6 @@ def multiplication_matrix(p: Sequence[int], c: IntPoly, q: int | None = None) ->
     [[0, 6], [4, 0]]
     """
     columns = [residue(p, c, q)]
-    for _ in range(c.degree - 1):
+    for _ in range((c.degree if count is None else count) - 1):
         columns.append(residue((0, *columns[-1]), c, q))
     return columns

@@ -24,11 +24,21 @@ and level n is one product with it; no block grows with n:
 Each Y generator gives one column (Y is not T-stable as a set, so
 generators get no shifts), and the l^N columns are folded into the
 elimination kernel.  A quotient is a count {valuation: multiplicity}, the
-split-off part two numbers per coordinate.  One cap bounds the full ambient
-dimension coordinate_count * l^n (not the rows the kernel sees; it also
-bounds the factors ``quotient_group`` lists) and the precision N
-(``check_caps``); ``check_presentation`` bounds the level-e data for a
-caller without a window.
+split-off part two numbers per coordinate.
+
+A window of levels is one reduction (``_quotients``).  The lift fixes every
+row of a free or l-power block, and a Schur complement on a unit pivot in
+such a row commutes with it, so ``linalg.unit_pivots`` clears those pivots
+once, at the window's top precision l^(n_max + k), where they are exact mod
+every lower power too.  Each level then lifts and reduces only what is left,
+with nu carried from level to level by ``tower_residue_steps``; without a
+distinguished block nothing changes between levels but N, and the window is
+one kernel call.
+
+One cap bounds the full ambient dimension coordinate_count * l^n (l^n for a
+module with no coordinate; not the rows the kernel sees; it also bounds the
+factors ``quotient_group`` lists) and the precision N (``check_caps``);
+``check_presentation`` bounds the level-e data for a caller without a window.
 
 ``enumeration_oracle`` recomputes the same order by literal subgroup closure
 in the full finite ambient module, l^n monomials in every coordinate, from
@@ -42,8 +52,9 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from collections.abc import Iterator
+from itertools import islice
 
-from .linalg import ceil_log, divisor_valuations, ell_valuation
+from .linalg import ceil_log, divisor_valuations, ell_valuation, unit_pivots
 from .modules import (
     DescentDatum,
     DistinguishedFactor,
@@ -62,7 +73,7 @@ from .polynomials import (
     multiplication_matrix,
     tower_poly,
     tower_ratio,
-    tower_residues,
+    tower_residue_steps,
 )
 
 DEFAULT_DIMENSION_CAP = 4096
@@ -146,11 +157,15 @@ def _first_level_over(ell: int, count: int, cap: int) -> int | None:
 
 def check_caps(module: ElementaryModule, n_min: int, n_max: int, k: int, cap: int) -> None:
     """The ambient dimension coordinate_count * l^n and the precision N = n + k
-    of every level in the window against the cap, before any l^n or l^N is built."""
+    of every level in the window against the cap, before any l^n or l^N is built.
+    A module with no coordinate has l^n in its place: its orders are 0, but
+    validation builds tower_poly(l, e) below the window and the fitter l^n."""
     ell, count = module.prime.value, module.coordinate_count
-    over = _first_level_over(ell, count, cap)
+    over = _first_level_over(ell, max(count, 1), cap)
     if over is not None and over <= n_max:
         n = max(over, n_min)
+        if not count:
+            raise CapExceeded(f"l^n = {ell}^{n} exceeds the cap {cap} at level n={n}")
         # past the first level over the cap, l^n may be too large to build
         dim = count * ell**n if n == over else f"{count}*{ell}^{n}"
         raise CapExceeded(f"ambient dimension {dim} exceeds the cap {cap} at level n={n}")
@@ -181,17 +196,44 @@ def check_presentation(module: ElementaryModule, descent: DescentDatum, cap: int
         raise CapExceeded(f"{size}, above the cap {cap}")
 
 
-def _quotients(
+def check_window(
     module: ElementaryModule, descent: DescentDatum, n_min: int, n_max: int, k: int, cap: int
-) -> Iterator[Counter[int]]:
-    """{valuation: multiplicity} of the level-n quotient for n_min <= n <= n_max.
-
-    The levels, the caps and the datum are checked before any arithmetic.
-    Each level multiplies the rows of every distinguished block of the
-    level-e matrix by M(nu_{n,e} mod (P, l^N)) and reduces mod l^N.
-    """
+) -> None:
+    """What ``order_sequence`` checks before validation, in its order: a
+    nonempty window, above e for generic data with generators, the levels of
+    ``_check_levels``, then ``check_caps``."""
+    if n_min > n_max:
+        raise ValueError(f"empty level range [{n_min}, {n_max}]")
+    level = descent.level if isinstance(descent, GenericDescent) else 0
+    if isinstance(descent, GenericDescent) and descent.generators and n_min <= level:
+        raise ValueError(f"sequences for generic data start at n >= e+1 = {level + 1}")
     _check_levels(descent, n_min, k)
     check_caps(module, n_min, n_max, k, cap)
+
+
+def _quotients(
+    module: ElementaryModule, descent: DescentDatum, n_min: int, n_max: int, k: int
+) -> Iterator[Counter[int]]:
+    """{valuation: multiplicity} of the level-n quotient for n_min <= n <= n_max,
+    for a window whose levels and caps the caller has checked.
+
+    Level n is the level-e matrix A times L_n = diag(I, M(nu_{n,e})), which
+    fixes the rows of every free and l-power block, mod l^N with N = n + k.
+    One elimination serves the window, at its top precision l^(n_max + k):
+
+    * without a distinguished block L_n = I, so the window is one kernel
+      call, and level n's valuations are its min(v, N);
+    * otherwise ``unit_pivots`` clears every unit pivot in a fixed row, once
+      for a window of two or more levels.  With A = [[a, r], [c, B]] on a
+      unit a in a fixed row, L_n A keeps the row (a, r) and has L'c and L'B
+      below it, so its Schur complement is L'(B - c a^-1 r): the complement
+      commutes with the lift, and a unit pivot is exact mod l^N for every N
+      up to the top.  So each level lifts the distinguished rows of the
+      remainder only, building the columns of M(nu) for the rows that hold
+      an entry, and runs the kernel on it mod l^N.  nu itself is carried
+      from level to level by ``tower_residue_steps`` at the top precision,
+      n_max steps in all.
+    """
     require_valid(module, descent)
     e = descent.level if isinstance(descent, GenericDescent) and descent.generators else 0
     layout, relations, generators = _presentation(module, descent)
@@ -200,25 +242,67 @@ def _quotients(
     rows = {idx: modulus.degree for idx, _, modulus in layout}
     # (first row, P) of each distinguished block
     lifts = [(i, m) for idx, i, m in layout if isinstance(factors[idx], DistinguishedFactor)]
+    top = n_max + k
+    columns = [*relations, *generators]
+    dimension = sum(rows.values())
+    if lifts:
+        if n_max > n_min:  # one level's kernel clears these pivots itself
+            fixed = [
+                r
+                for idx, i, m in layout
+                if not isinstance(factors[idx], DistinguishedFactor)
+                for r in range(i, i + m.degree)
+            ]
+            pivots, columns = unit_pivots(columns, fixed, ell, top)
+            dimension -= pivots
+        held = {r for col in columns for r in col}
+        # per block: its first row, P, nu_{n,e} mod (P, l^top) from n = n_min
+        # on, and its rows that hold an entry
+        blocks = [
+            (
+                start,
+                m,
+                islice(tower_residue_steps(ell, e, m, ell**top), n_min - e, None),
+                [r for r in range(start, start + m.degree) if r in held],
+            )
+            for start, m in lifts
+        ]
+    else:
+        valuations = divisor_valuations(columns, dimension, ell, top)
     for n in range(n_min, n_max + 1):
         exponent = n + k
-        q = ell**exponent
         counts: Counter[int] = Counter()
         for idx, factor in enumerate(factors):
             if not isinstance(factor, DistinguishedFactor):
                 # a block is the rank-l^e summand (module docstring); the rest splits off
                 cut = exponent if factor is None else min(factor.exponent, exponent)
                 counts[cut] += ell**n - rows.get(idx, 0)
-        lift = {}  # row of a distinguished block -> (the block's first row, its column of M(nu))
-        for start, modulus in lifts:
-            nu = multiplication_matrix(tower_residues(ell, n, e, modulus, q), modulus, q)
-            lift.update((r, (start, part)) for r, part in enumerate(nu, start))
-        columns = [_product(col, lift, q) for col in [*relations, *generators]]
-        counts.update(divisor_valuations(columns, sum(rows.values()), ell, exponent))
+        if lifts:
+            q = ell**exponent
+            # row of a distinguished block -> (the block's first row, its column of M(nu))
+            lift = {}
+            for start, modulus, nus, used in blocks:
+                nu = next(nus)
+                if used:
+                    parts = multiplication_matrix(nu, modulus, q, used[-1] - start + 1)
+                    lift.update((r, (start, parts[r - start])) for r in used)
+            lifted = [_product(col, lift, q) for col in columns]
+            counts.update(divisor_valuations(lifted, dimension, ell, exponent))
+        else:
+            counts.update(min(v, exponent) for v in valuations)
         if isinstance(descent, SpecialDescent):
             counts[exponent] += 1
         del counts[0]  # unit divisors
         yield +counts
+
+
+def _level(
+    module: ElementaryModule, descent: DescentDatum, n: int, k: int, cap: int
+) -> Counter[int]:
+    _check_levels(descent, n, k)
+    check_caps(module, n, n, k, cap)
+    [counts] = _quotients(module, descent, n, n, k)
+    return counts
 
 
 def quotient_group(
@@ -230,7 +314,7 @@ def quotient_group(
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> FiniteAbelianGroup:
     """Structure of the level-n tower quotient with exponent shift k."""
-    [counts] = _quotients(module, descent, n, n, k, dimension_cap)
+    counts = _level(module, descent, n, k, dimension_cap)
     return FiniteAbelianGroup(tuple(counts.elements()))
 
 
@@ -243,7 +327,7 @@ def order_valuation(
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> int:
     """x(n, k): the l-valuation of the order of the level-n quotient."""
-    [counts] = _quotients(module, descent, n, n, k, dimension_cap)
+    counts = _level(module, descent, n, k, dimension_cap)
     return sum(v * m for v, m in counts.items())
 
 
@@ -256,21 +340,18 @@ def order_sequence(
     *,
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> OrderSequence:
-    """x(n, k) for every n in [n_min, n_max], evaluated deterministically.
+    """x(n, k) for every n in [n_min, n_max], from one reduction of the window.
 
     Generic data with generators require n_min > e: the window over which
     the asymptotic parameters are read must sit strictly above the descent
     level.
     """
-    if n_min > n_max:
-        raise ValueError(f"empty level range [{n_min}, {n_max}]")
-    level = descent.level if isinstance(descent, GenericDescent) else 0
-    if isinstance(descent, GenericDescent) and descent.generators and n_min <= level:
-        raise ValueError(f"sequences for generic data start at n >= e+1 = {level + 1}")
+    check_window(module, descent, n_min, n_max, k, dimension_cap)
     values = tuple(
         sum(v * m for v, m in counts.items())
-        for counts in _quotients(module, descent, n_min, n_max, k, dimension_cap)
+        for counts in _quotients(module, descent, n_min, n_max, k)
     )
+    level = descent.level if isinstance(descent, GenericDescent) else 0
     return OrderSequence(
         prime=module.prime.value, shift=k, level=level, n_min=n_min, values=values
     )

@@ -185,6 +185,28 @@ class TestExitCodes:
         assert code == 3
         assert f"at level n={level}" in err
 
+    @pytest.mark.parametrize("command", ["orders", "fit", "verify"])
+    def test_module_without_coordinates_is_capped_by_level(self, tmp_path, command):
+        # no ambient dimension to bound, but validation would build
+        # tower_poly(2, 2^31) and the fitter 2^n; n + k stays at 1..4
+        f = tmp_path / "zero.run"
+
+        def run_at(e, n_min, k):
+            f.write_text(
+                "[prime]\nl = 2\n[module]\nfree_rank = 0\n"
+                f"[descent]\nkind = generic\ne = {e}\ngenerator = []\n"
+                f"[run]\nn_min = {n_min}\nn_max = {n_min + 3}\nk = {k}\n"
+            )
+            return run(command, str(f))
+
+        start = time.perf_counter()
+        code, out, err = run_at(2**31, 10**12, 1 - 10**12)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert "l^n = 2^1000000000000 exceeds the cap 4096 at level n=1000000000000" in err
+        # below the level cap every order is 0, and fitted as such
+        assert run_at(1, 2, 0)[0] == 0
+
     @pytest.mark.parametrize("name", ["prop14:e=10", "prop15:l=61,e=1", "prop15:l=101,e=1"])
     def test_scenario_checks_the_cap_before_validation(self, monkeypatch, name):
         # building a scenario checks nothing; the window is over the cap
@@ -202,7 +224,7 @@ class TestExitCodes:
     def test_precision_cap_stops_before_any_residue(self, monkeypatch):
         # l^N would have ten million bits; the window's dimension is far below the cap
         calls = []
-        for attr in ("tower_residues", "divisor_valuations"):
+        for attr in ("tower_residue_steps", "unit_pivots", "divisor_valuations"):
             original = getattr(quotients, attr)
             monkeypatch.setattr(
                 quotients, attr, lambda *args, f=original: calls.append(args) or f(*args)
@@ -268,6 +290,41 @@ class TestExitCodes:
         assert f"exceeds the cap 4096 at level n={level + 1}" in err
         assert calls == []
         assert run("scenario", "prop14:e=2")[0] == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["fit", "verify"])
+    def test_short_window_is_refused_before_validation(self, tmp_path, monkeypatch, command):
+        calls = []
+        validate = modules.validate_descent
+        monkeypatch.setattr(
+            modules, "validate_descent", lambda *args: calls.append(args) or validate(*args)
+        )
+        f = tmp_path / "short.run"
+        f.write_text(golden("mixed.run").replace("n_max = 5", "n_max = 3"))
+        code, out, err = run(command, str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: fitting needs at least four consecutive entries\n"
+        assert calls == []
+        # the cap is still checked first; the run's own window 1..5 is fitted
+        assert run(command, str(f), "--cap", "4")[0] == 3
+        assert calls == []
+        assert run(command, MIXED)[0] == 0
+        assert calls
+
+    def test_scenario_short_window_is_refused_before_building_generators(self, monkeypatch):
+        calls = []
+        build = scenarios._full_span_generators
+        monkeypatch.setattr(
+            scenarios, "_full_span_generators", lambda *args: calls.append(args) or build(*args)
+        )
+        window = ["--cap", "100000", "--n-min", "12"]
+        code, out, err = run("scenario", "prop14:e=11", *window, "--n-max", "14")
+        assert (code, out) == (2, "")
+        assert err == "error: fitting needs at least four consecutive entries\n"
+        assert calls == []
+        assert run("scenario", "prop14:e=11", *window[2:], "--n-max", "14")[0] == 3
+        assert calls == []
+        assert run("scenario", "prop14:e=2", "--n-min", "3", "--n-max", "6")[0] == 0
         assert len(calls) == 1
 
     def test_usage_error_is_two(self, capsys):

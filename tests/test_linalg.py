@@ -28,6 +28,7 @@ from towergrowth.linalg import (
     ell_valuation,
     span_invariants,
     span_members,
+    unit_pivots,
 )
 
 from conftest import (
@@ -391,6 +392,46 @@ def _membership_cases(draw):
             v = [rng.randint(-50, 50) for _ in range(dimension)]
         vectors.append(v)
     return W, vectors, dimension, ell
+
+
+class TestUnitPivots:
+    """The unit phase restricted to some rows, against the dense reference:
+    its Schur complement has the same quotient at every precision up to its
+    own, and keeps it under a left factor that fixes the pivot rows."""
+
+    @seed(20261023)
+    @given(case=_kernel_cases(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_remainder_keeps_the_quotient_below_its_precision(self, case, data):
+        rows, ell, exponent = case
+        columns, dimension = sparse_columns(rows)
+        snapshot = copy.deepcopy(columns)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        chosen = {i for i in range(dimension) if rng.random() < 0.6}
+        pivots, remainder = unit_pivots(columns, chosen, ell, exponent)
+        assert columns == snapshot
+        # no unit is left in a chosen row
+        assert all(x % ell == 0 for col in remainder for i, x in col.items() if i in chosen)
+        other = [i for i in range(dimension) if i not in chosen]
+        mix = {(i, j): rng.randint(-4, 4) for i in other for j in other}
+        lower = rng.randint(1, exponent)
+
+        def mixed(matrix):
+            # each row outside ``chosen`` replaced by an integer combination of those rows
+            width = len(matrix[0]) if matrix else 0
+            return [
+                [sum(mix[i, j] * matrix[j][c] for j in other) for c in range(width)]
+                if i not in chosen else matrix[i]
+                for i in range(dimension)
+            ]
+
+        dense = [[col.get(i, 0) for col in remainder] for i in range(dimension)]
+        for left in (lambda matrix: matrix, mixed):
+            whole = dense_divisor_valuations(left(rows), ell, lower)
+            rest = divisor_valuations(
+                sparse_columns(left(dense))[0], dimension - pivots, ell, lower
+            )
+            assert sorted(whole) == sorted([0] * pivots + rest)
 
 
 def _dict(vector):

@@ -77,7 +77,9 @@ def _outputs(kind, cases):
             elif kind == "windows":
                 e = descent.level
                 for k in (-1, 0, 2):
-                    seq = _outcome(order_sequence, module, descent, e + 1, e + 4, k, dimension_cap=10**6)
+                    seq = _outcome(
+                        order_sequence, module, descent, e + 1, e + 4, k, dimension_cap=10**6
+                    )
                     yield f"{k} {seq}"
             else:
                 for n in range(descent.level, descent.level + 3):

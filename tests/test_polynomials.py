@@ -23,6 +23,7 @@ from towergrowth.polynomials import (
     residue,
     tower_poly,
     tower_ratio,
+    tower_residue_steps,
     tower_residues,
 )
 
@@ -299,6 +300,22 @@ class TestTowerResidues:
                         q,
                     )
                     assert lift == _residue_columns(omega_n, P, q), (e, P, N)
+
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_carried_steps_match_a_fresh_call_at_every_level(self, ell):
+        # the window's route: one iterator at the top precision, each level
+        # reduced to its own; seeded distinguished P up to degree 50
+        rng = random.Random(500 + ell)
+        for degree in (1, 7, 20, 50):
+            P = _distinguished(rng, ell, degree)
+            e = rng.randint(0, 2)
+            top = e + 8
+            steps = tower_residue_steps(ell, e, P, ell**(top + 2))
+            for n in range(e, top + 1):
+                carried = next(steps)
+                for N in (1, n + 2):
+                    q = ell**N
+                    assert [x % q for x in carried] == tower_residues(ell, n, e, P, q), (P, n, N)
 
     def test_rejects_inverted_levels_and_non_monic_modulus(self):
         with pytest.raises(ValueError):

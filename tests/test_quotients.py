@@ -372,6 +372,55 @@ class TestLiteralRoute:
         assert points >= 150
 
 
+class TestWindows:
+    """A window equals its levels: ``order_sequence`` (one reduction for the
+    window) against ``order_valuation`` at each of its levels, and against
+    the literal level-n presentation where n <= 8, 5 and 3 at l = 2, 3 and 5.
+    Each drawn module is taken with its generic datum, with special descent
+    and with generator-free descent; windows run over 1 to 6 levels."""
+
+    UNCAPPED = 10**9
+
+    @pytest.mark.parametrize("ell,top", [(2, 8), (3, 5), (5, 3)])
+    def test_window_entries_are_its_levels(self, ell, top):
+        rng = random.Random(1900 + ell)
+        literal = 0
+        for draw in range(18):
+            case = build_generic_case(rng, ell)
+            module, e = case.module, case.descent.level
+            forms = [(case.descent, e + 1), (SpecialDescent(), 1), (TRIVIAL, 1)]
+            for index, (descent, first) in enumerate(forms):
+                length = 1 + (draw + index) % 6
+                for k in (-1, 0, 2):
+                    n_min = max(first, 1 - k)
+                    n_max = n_min + length - 1
+                    seq = order_sequence(
+                        module, descent, n_min, n_max, k, dimension_cap=self.UNCAPPED
+                    )
+                    for n, x in seq.entries:
+                        assert order_valuation(
+                            module, descent, n, k, dimension_cap=self.UNCAPPED
+                        ) == x, (draw, index, n, k)
+                        if n <= top:
+                            assert literal_order_valuation(module, descent, n, k) == x
+                            literal += 1
+        assert literal >= 100
+
+    def test_window_carries_the_tower_residues(self, monkeypatch):
+        # one multiplication matrix per tower step: 1000 for the window
+        # 995..1000 of mixed.run's one distinguished block, not one per level
+        # of each level's own tower (5985)
+        steps = []
+        build = polynomials.multiplication_matrix
+        monkeypatch.setattr(
+            polynomials, "multiplication_matrix", lambda *a: steps.append(a) or build(*a)
+        )
+        run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
+        seq = order_sequence(run.module, run.descent, 995, 1000, dimension_cap=2**1100)
+        assert seq.values == tuple(n * 2**n + 2 * 2**n for n in range(995, 1001))
+        assert len(steps) <= 1000 + 1
+
+
 class TestSpecialDescentIdentity:
     """Special descent on E is trivial descent on E + Lambda/(T): the summand
     Z/l^N the special case adds is Lambda/(T, omega_n, l^N), and deg T = 1 is
@@ -562,21 +611,27 @@ class TestReducedAmbient:
 
 
 class TestLevelIndependentKernel:
-    """The kernel sees l^e rows per touched free or l-power coordinate and
-    deg P rows per distinguished one, at every level n."""
+    """One reduction per window: a window with no distinguished block is one
+    kernel call, and otherwise each level's kernel sees only what the window's
+    unit pivots in the free and l-power rows leave, the same rows at every
+    level n."""
 
     UNCAPPED = 10**100
 
-    def test_mixed_run_kernel_has_three_rows_at_every_level(self, kernel_shapes):
-        # free, Lambda/(4) and Lambda/(T + 2), all touched at e = 0: 1 + 1 + 1 rows
+    def test_mixed_run_kernel_sees_the_remainder_at_every_level(self, kernel_shapes):
+        # free, Lambda/(4) and Lambda/(T + 2), all touched at e = 0: 1 + 1 + 1
+        # rows, and the generator's 1 in the free row is a unit pivot, cleared
+        # once for the window; the Lambda/(4) row (entry 4) and the
+        # distinguished row are left
         run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
         order_sequence(run.module, run.descent, 1, 10, dimension_cap=self.UNCAPPED)
-        assert [rows for rows, _ in kernel_shapes] == [3] * 10
+        assert [rows for rows, _ in kernel_shapes] == [2] * 10
 
-    def test_prop14_kernel_has_l_power_e_rows_at_every_level(self, kernel_shapes):
+    def test_prop14_window_is_one_kernel_call(self, kernel_shapes):
+        # one free block of l^e rows and l^e generator columns, no distinguished block
         scenario = builtin_scenario("prop14:e=2")
         order_sequence(scenario.module, scenario.descent, 3, 11, dimension_cap=self.UNCAPPED)
-        assert [rows for rows, _ in kernel_shapes] == [2**2] * 9
+        assert kernel_shapes == [(2**2, 2**2)]
 
     @pytest.mark.parametrize("n", [9, 10, 100, 200])
     def test_mixed_run_closed_form_at_high_levels(self, n):
