@@ -7,6 +7,7 @@ so they pin both the math and the output format.
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -90,6 +91,92 @@ class TestGoldenJson:
         doc = json.loads(out)
         assert doc["schema"] == "towergrowth/1"
         assert doc["command"] == argv[0]
+
+
+_SIDE = "rho=1,mu=0,lam_tilde=-4,defect=0,stable=1"
+# (group, argvs): every subcommand on the golden run files, the registry
+# tokens, valid and invalid, and mirror at its levels and on explicit sides
+_RUN_OPTIONS = [(), ("--k", "2"), ("--k", "-1"), ("--cap", "10")]
+_SCENARIO_OPTIONS = [
+    (), ("--n-min", "1", "--n-max", "4"), ("--n-min", "2", "--n-max", "7"),
+    ("--n-min", "3", "--n-max", "5"), *_RUN_OPTIONS[1:],
+]
+_SCENARIO_TOKENS = [
+    "prop14", "prop14:e=1", " prop14: e = 2 ", "prop15:l=3,e=1", "prop15:l=5", "special-demo",
+    "trivial-demo", "nonsense", "prop14:e", "prop14:e=x", "prop14:e=1,z=2", "special-demo:e=1",
+    "prop15:l=4", "prop14:e=-1",
+]
+_MIRROR_SIDES = [
+    ("--level", str(level)) for level in range(4)
+] + [
+    ("--left", _SIDE, "--right", "rho=0,mu=0,lam_tilde=3,defect=2,stable=8"),  # PASS
+    ("--left", _SIDE, "--right", "rho=1,mu=0,lam_tilde=3,defect=2,stable=8"),  # FAIL
+    ("--left", _SIDE, "--right", "rho=0,mu=0,lam_tilde=3,defect=1,stable=8"),  # parity warning
+    ("--left", "rho=2,mu=1,lam_tilde=0,defect=3,stable=2", "--right", _SIDE),
+    ("--left", _SIDE, "--right", "rho=1,mu"),
+    ("--level", "1", "--left", _SIDE, "--right", _SIDE),
+]
+
+
+def _frozen_calls():
+    for path in (MIXED, SPECIAL, TRANSIENT):
+        for command in ("orders", "invariants", "fit", "verify"):
+            options = _RUN_OPTIONS if command != "invariants" else [()]
+            yield f"{command} {Path(path).name}", [(command, path, *o) for o in options]
+    for token in _SCENARIO_TOKENS:
+        yield f"scenario {token}", [("scenario", token, *o) for o in _SCENARIO_OPTIONS]
+    yield "mirror", [("mirror", *sides) for sides in _MIRROR_SIDES]
+
+
+FROZEN_CALLS = dict(_frozen_calls())
+
+# sha256 of (exit code, stdout, stderr) of each group's calls, text then --json
+FROZEN_BYTES = {
+    "orders mixed.run": "d2337bb9739159e4",
+    "invariants mixed.run": "0640540a3639fa4a",
+    "fit mixed.run": "9621f05434e10e3b",
+    "verify mixed.run": "ef5a892b24aff6cd",
+    "orders special.run": "980a23801799d4f1",
+    "invariants special.run": "68c8d977e83ded12",
+    "fit special.run": "54fc8edee9a816d0",
+    "verify special.run": "d8104a88f6ac8f76",
+    "orders transient.run": "2f49bff99cefb28d",
+    "invariants transient.run": "c0b18a06247d5f1a",
+    "fit transient.run": "92b251ceaea8ef47",
+    "verify transient.run": "fc2875e97a167159",
+    "scenario prop14": "9af34024f5084e9d",
+    "scenario prop14:e=1": "8b9069f59a4ff192",
+    "scenario  prop14: e = 2 ": "595601abadd55438",
+    "scenario prop15:l=3,e=1": "b4a62d993451f0de",
+    "scenario prop15:l=5": "d385fbbfe726fe6c",
+    "scenario special-demo": "7079ae4f91cc0938",
+    "scenario trivial-demo": "a9ebfc1cb87b4f8c",
+    "scenario nonsense": "a3c4cf4773c35c5b",
+    "scenario prop14:e": "14dbda941d8b0912",
+    "scenario prop14:e=x": "c54f91d0d42d9cc6",
+    "scenario prop14:e=1,z=2": "62b11fb8eae03180",
+    "scenario special-demo:e=1": "deebf2bbde02f20d",
+    "scenario prop15:l=4": "a87e30efe6996d7e",
+    "scenario prop14:e=-1": "25156a277cb2a555",
+    "mirror": "243b18ae5b9c70d2",
+}
+
+
+def _bytes_digest(group):
+    h = hashlib.sha256()
+    for argv in FROZEN_CALLS[group]:
+        for json_flag in ((), ("--json",)):
+            h.update(repr(run(*argv, *json_flag)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestFrozenBytes:
+    """Exit code, stdout and stderr of a fixed argv set, frozen from the CLI
+    as it stood when each handler wrote its text rows beside its payload."""
+
+    @pytest.mark.parametrize("group", list(FROZEN_CALLS))
+    def test_bytes_match_frozen_digest(self, group):
+        assert _bytes_digest(group) == FROZEN_BYTES[group]
 
 
 class TestExitCodes:
