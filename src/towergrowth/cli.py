@@ -27,7 +27,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -36,7 +36,7 @@ from .fitting import (
     Classification,
     FitResult,
     UltimatelyConstant,
-    Unbounded,
+    VerificationReport,
     check_fit_window,
     fit_parameters,
     verify_prediction,
@@ -69,13 +69,6 @@ def _read_spec(path: str) -> RunSpec:
     return parse_run(text)
 
 
-def _triple_text(t: ParamTriple) -> str:
-    body = f"rho={t.rho} mu={t.mu} lam_tilde={t.lam_tilde} grade={t.grade.value}"
-    if t.nu is not None:
-        body += f" nu={t.nu}"
-    return body
-
-
 def _triple_json(t: ParamTriple) -> dict:
     return {
         "rho": t.rho,
@@ -86,26 +79,12 @@ def _triple_json(t: ParamTriple) -> dict:
     }
 
 
-def _classification_text(c: Classification) -> str:
-    if isinstance(c, UltimatelyConstant):
-        return f"ultimately-constant from_n={c.from_n} constant={c.constant}"
-    if isinstance(c, BoundedSpread):
-        return f"bounded-spread low={c.low} high={c.high}"
-    return f"unbounded trend={c.trend}"
-
-
 def _classification_json(c: Classification) -> dict:
     if isinstance(c, UltimatelyConstant):
         return {"kind": "ultimately-constant", "from_n": c.from_n, "constant": c.constant}
     if isinstance(c, BoundedSpread):
         return {"kind": "bounded-spread", "low": c.low, "high": c.high}
     return {"kind": "unbounded", "trend": c.trend}
-
-
-def _sequence_rows(seq: OrderSequence) -> list[str]:
-    rows = ["n\tx"]
-    rows.extend(f"{n}\t{x}" for n, x in seq.entries)
-    return rows
 
 
 def _sequence_json(seq: OrderSequence) -> dict:
@@ -116,17 +95,6 @@ def _sequence_json(seq: OrderSequence) -> dict:
         "n_min": seq.n_min,
         "entries": [[n, x] for n, x in seq.entries],
     }
-
-
-def _fit_rows(fit: FitResult) -> list[str]:
-    rows = [
-        f"fitted\t{_triple_text(fit.params)}",
-        f"classification\t{_classification_text(fit.classification)}",
-        f"residuals\t{','.join(str(r) for r in fit.residuals)}",
-        f"spread\t{fit.spread}",
-        f"spread_bound\t{fit.spread_bound}",
-    ]
-    return rows
 
 
 def _fit_json(fit: FitResult) -> dict:
@@ -140,35 +108,41 @@ def _fit_json(fit: FitResult) -> dict:
     }
 
 
-def _compute_sequence(
-    spec: RunSpec, k_override: int | None, cap: int, fitted: bool = False
-) -> OrderSequence:
-    """x(n, k) over the run's window.  A window to be fitted first passes the
-    checks ``order_sequence`` makes before validation, so that a capped one
-    still exits 3, and is then refused if it is short, before validation or
-    any level."""
+def _compute_sequence(spec: RunSpec, k_override: int | None, cap: int) -> OrderSequence:
+    """x(n, k) over the run's window, to be fitted.  The window first passes
+    the checks ``order_sequence`` makes before validation, so that a capped
+    one still exits 3, and is then refused if it is short, before validation
+    or any level."""
     shift = spec.shift if k_override is None else k_override
-    if fitted:
-        check_window(spec.module, spec.descent, spec.n_min, spec.n_max, shift, cap)
-        check_fit_window(spec.n_min, spec.n_max)
+    check_window(spec.module, spec.descent, spec.n_min, spec.n_max, shift, cap)
+    check_fit_window(spec.n_min, spec.n_max)
     return order_sequence(
-        spec.module,
-        spec.descent,
-        spec.n_min,
-        spec.n_max,
-        k=shift,
-        dimension_cap=cap,
+        spec.module, spec.descent, spec.n_min, spec.n_max, k=shift, dimension_cap=cap
     )
 
 
-# what a handler returns: the exit code, the JSON payload and the text rows
-_Result = tuple[int, dict, list[str]]
+# what a handler returns: the exit code and the JSON payload
+_Result = tuple[int, dict]
+
+
+def _verdict(report: VerificationReport, head: dict) -> _Result:
+    """The result of ``verify`` and ``scenario``: ``head``, then the report."""
+    return 0 if report.passed else 1, {
+        **head,
+        "fitted": _triple_json(report.fitted),
+        "classification": _classification_json(report.classification),
+        "detail": report.detail,
+        "passed": report.passed,
+    }
 
 
 def _cmd_orders(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
-    seq = _compute_sequence(spec, args.k, args.cap)
-    return 0, _sequence_json(seq), _sequence_rows(seq)
+    shift = spec.shift if args.k is None else args.k
+    seq = order_sequence(
+        spec.module, spec.descent, spec.n_min, spec.n_max, k=shift, dimension_cap=args.cap
+    )
+    return 0, _sequence_json(seq)
 
 
 def _cmd_invariants(args: argparse.Namespace) -> _Result:
@@ -181,47 +155,29 @@ def _cmd_invariants(args: argparse.Namespace) -> _Result:
     predicted = predict_parameters(spec.module, spec.descent)
     # the generic prediction is lam - defect; the other cases have no defect
     defect = inv.lam - predicted.lam_tilde if case is CaseTag.GENERIC else 0
-    fields = {
+    return 0, {
         "case": case.value,
         "free_rank": inv.free_rank,
         "mu": inv.mu,
         "lam": inv.lam,
         "defect": defect,
         "defect_bound": defect_bound(spec.module, spec.descent),
+        "predicted": _triple_json(predicted),
     }
-    rows = [f"{key}\t{value}" for key, value in fields.items()]
-    rows.append(f"predicted\t{_triple_text(predicted)}")
-    return 0, {**fields, "predicted": _triple_json(predicted)}, rows
 
 
 def _cmd_fit(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
-    fit = fit_parameters(_compute_sequence(spec, args.k, args.cap, fitted=True))
-    return 0, _fit_json(fit), _fit_rows(fit)
+    return 0, _fit_json(fit_parameters(_compute_sequence(spec, args.k, args.cap)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
     # the sequence checks the cap and validates before the defect is ranked
-    seq = _compute_sequence(spec, args.k, args.cap, fitted=True)
+    seq = _compute_sequence(spec, args.k, args.cap)
     predicted = predict_parameters(spec.module, spec.descent)
-    fit = fit_parameters(seq)
-    report = verify_prediction(predicted, fit)
-    payload = {
-        "predicted": _triple_json(report.predicted),
-        "fitted": _triple_json(report.fitted),
-        "classification": _classification_json(report.classification),
-        "detail": report.detail,
-        "passed": report.passed,
-    }
-    rows = [
-        f"predicted\t{_triple_text(report.predicted)}",
-        f"fitted\t{_triple_text(report.fitted)}",
-        f"classification\t{_classification_text(report.classification)}",
-        f"detail\t{report.detail}",
-        f"verdict\t{report.verdict}",
-    ]
-    return 0 if report.passed else 1, payload, rows
+    report = verify_prediction(predicted, fit_parameters(seq))
+    return _verdict(report, {"predicted": _triple_json(predicted)})
 
 
 def _cmd_scenario(args: argparse.Namespace) -> _Result:
@@ -233,12 +189,7 @@ def _cmd_scenario(args: argparse.Namespace) -> _Result:
     check_caps(scenario.module, n_min, n_max, shift, args.cap)
     check_fit_window(n_min, n_max)
     seq = order_sequence(
-        scenario.module,
-        scenario.descent,
-        n_min,
-        n_max,
-        k=shift,
-        dimension_cap=args.cap,
+        scenario.module, scenario.descent, n_min, n_max, k=shift, dimension_cap=args.cap
     )
     # after the sequence, which checks the cap and validates before any defect
     predicted = predict_parameters(scenario.module, scenario.descent)
@@ -250,28 +201,13 @@ def _cmd_scenario(args: argparse.Namespace) -> _Result:
             f"scenario {scenario.name!r} expectation {scenario.expected} disagrees "
             f"with the predicted parameters {predicted}"
         )
-    fit = fit_parameters(seq)
-    report = verify_prediction(scenario.expected, fit)
-    payload = {
+    report = verify_prediction(scenario.expected, fit_parameters(seq))
+    return _verdict(report, {
         "name": scenario.name,
         "description": scenario.description,
         "sequence": _sequence_json(seq),
         "expected": _triple_json(scenario.expected),
-        "fitted": _triple_json(report.fitted),
-        "classification": _classification_json(report.classification),
-        "detail": report.detail,
-        "passed": report.passed,
-    }
-    rows = [
-        f"name\t{scenario.name}",
-        f"description\t{scenario.description}",
-        *_sequence_rows(seq),
-        f"expected\t{_triple_text(scenario.expected)}",
-        f"fitted\t{_triple_text(report.fitted)}",
-        f"classification\t{_classification_text(report.classification)}",
-        f"verdict\t{report.verdict}",
-    ]
-    return 0 if report.passed else 1, payload, rows
+    })
 
 
 def _parse_side(text: str) -> MirrorSide:
@@ -313,17 +249,53 @@ def _cmd_mirror(args: argparse.Namespace) -> _Result:
             raise ValueError("mirror needs either --level or both --left and --right")
         left, right = mirror_context_for_full_span(args.level)
     report = mirror_check(left, right)
-    payload = {
+    return 0 if report.passed else 1, {
         "checks": [
             {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok} for c in report.checks
         ],
         "warnings": list(report.warnings),
         "passed": report.passed,
     }
-    rows = [f"{c.name}\t{c.lhs}\t{c.rhs}\t{'ok' if c.ok else 'MISMATCH'}" for c in report.checks]
-    rows.extend(f"warning\t{w}" for w in report.warnings)
-    rows.append(f"verdict\t{report.verdict}")
-    return 0 if report.passed else 1, payload, rows
+
+
+# the window of a sequence or a fit, which only the JSON document carries
+_WINDOW = frozenset({"prime", "k", "level", "n_min"})
+
+
+def _rows(payload: dict, json_only: Collection[str] = ()) -> list[str]:
+    """The text view of a payload, field by field: ``key<TAB>value`` for a
+    scalar, one row for a nested object (its ``kind`` bare, then ``key=value``
+    for each field that is not None), a list comma-joined, the ``n<TAB>x``
+    table for ``entries`` (a nested sequence in place), a row per check and
+    warning, and the verdict for ``passed``.  The window fields and
+    ``json_only`` are left out."""
+    rows = []
+    for key, value in payload.items():
+        if key in _WINDOW or key in json_only:
+            continue
+        if key == "passed":
+            rows.append(f"verdict\t{'PASS' if value else 'FAIL'}")
+        elif key == "entries":
+            rows += ["n\tx", *(f"{n}\t{x}" for n, x in value)]
+        elif key == "checks":
+            rows += [
+                f"{c['name']}\t{c['lhs']}\t{c['rhs']}\t{'ok' if c['ok'] else 'MISMATCH'}"
+                for c in value
+            ]
+        elif key == "warnings":
+            rows += [f"warning\t{w}" for w in value]
+        elif isinstance(value, dict) and "entries" in value:
+            rows += _rows(value)
+        elif isinstance(value, dict):
+            fields = (
+                str(v) if k == "kind" else f"{k}={v}" for k, v in value.items() if v is not None
+            )
+            rows.append(f"{key}\t{' '.join(fields)}")
+        elif isinstance(value, list):
+            rows.append(f"{key}\t{','.join(map(str, value))}")
+        else:
+            rows.append(f"{key}\t{value}")
+    return rows
 
 
 class _Option(NamedTuple):
@@ -340,6 +312,7 @@ class _Command(NamedTuple):
     help: str
     positional: tuple[str, str] | None  # (dest, help)
     options: dict[str, _Option]  # keyed by the flag, in --help order
+    json_only: frozenset[str] = frozenset()  # payload fields the text leaves out
 
 
 def _options(*options: _Option) -> dict[str, _Option]:
@@ -374,6 +347,7 @@ _COMMANDS = {
             _Option("n_max", int, None, "override window end"),
             _K, _CAP, _JSON,
         ),
+        json_only=frozenset({"detail"}),
     ),
     "mirror": _Command(
         _cmd_mirror,
@@ -485,11 +459,12 @@ def run_command(argv: list[str], out: TextIO | None = None, err: TextIO | None =
             code = exc.code or 0
             return code if isinstance(code, int) else 2
     try:
-        code, payload, rows = args.func(args)
+        code, payload = args.func(args)
         if args.json:
             doc = {"schema": SCHEMA, "command": args.command, **payload}
             out.write(json.dumps(doc, indent=2) + "\n")
         else:
+            rows = _rows(payload, _COMMANDS[args.command].json_only)
             out.write("\n".join(rows) + "\n")
         return code
     except BrokenPipeError:

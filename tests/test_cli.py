@@ -31,7 +31,7 @@ from towergrowth import (
     quotients,
     scenarios,
 )
-from towergrowth.cli import run_command
+from towergrowth.cli import SCHEMA, run_command
 
 GOLDEN = Path(__file__).parent / "golden"
 MIXED = str(GOLDEN / "mixed.run")
@@ -706,10 +706,35 @@ class TestClassificationRendering:
             ),
         ],
     )
-    def test_fit_rows_and_payload(self, values, text, doc):
-        fit = fit_parameters(OrderSequence(2, 0, 0, 1, tuple(values)))
-        assert f"classification\t{text}" in cli._fit_rows(fit)
-        assert cli._fit_json(fit)["classification"] == doc
+    def test_fit_text_and_json(self, monkeypatch, values, text, doc):
+        planted = OrderSequence(2, 0, 0, 1, tuple(values))
+        monkeypatch.setattr(cli, "order_sequence", lambda *args, **kwargs: planted)
+        code, out, err = run("fit", MIXED)
+        assert (code, err) == (0, "")
+        assert f"classification\t{text}\n" in out
+        code, out, err = run("fit", MIXED, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["classification"] == doc
+
+
+class TestTextIsThePayloadView:
+    """The text output is ``_rows`` of the JSON document, which never renders it."""
+
+    @pytest.mark.parametrize("group", list(FROZEN_CALLS))
+    def test_text_is_rows_of_the_document(self, monkeypatch, group):
+        rendered = []
+        rows = cli._rows
+        monkeypatch.setattr(cli, "_rows", lambda *args: rendered.append(args) or rows(*args))
+        for argv in FROZEN_CALLS[group]:
+            code, out, err = run(*argv, "--json")
+            assert rendered == []
+            if not err:
+                payload = json.loads(out)
+                assert (payload.pop("schema"), payload.pop("command")) == (SCHEMA, argv[0])
+                out = "\n".join(rows(payload, cli._COMMANDS[argv[0]].json_only)) + "\n"
+            assert run(*argv) == (code, out, err)
+            assert bool(rendered) == (not err)
+            rendered.clear()
 
 
 # negatives, 0, a few small values, and huge values up to 10^12
