@@ -215,12 +215,15 @@ def _parse_side(text: str) -> MirrorSide:
     fields = {}
     for piece in text.split(","):
         key, sep, value = piece.partition("=")
+        key = key.strip()
         if not sep:
             raise ValueError(f"malformed mirror side field {piece!r}")
+        if key in fields:
+            raise ValueError(f"duplicate mirror side field {key!r}")
         try:
-            fields[key.strip()] = int(value.strip())
+            fields[key] = int(value.strip())
         except ValueError:
-            raise ValueError(f"mirror side field {key.strip()!r} needs an integer") from None
+            raise ValueError(f"mirror side field {key!r} needs an integer") from None
     required = {"rho", "mu", "lam_tilde", "defect", "stable"}
     missing = required - fields.keys()
     if missing:

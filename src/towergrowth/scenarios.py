@@ -223,6 +223,8 @@ def builtin_scenario(spec: str) -> Scenario:
             key = key.strip()
             if not sep or not key:
                 raise ValueError(f"malformed scenario argument {piece!r}")
+            if key in params:
+                raise ValueError(f"duplicate scenario argument {key!r}")
             try:
                 params[key] = int(value.strip())
             except ValueError:

@@ -668,6 +668,9 @@ class TestStdinAndOverrides:
             (("--left", SIDE), "mirror needs either --level or both --left and --right"),
             (("--left", "rho=1,mu", "--right", SIDE), "malformed mirror side field 'mu'"),
             (("--left", SIDE, "--right", "rho=x,mu=0"), "mirror side field 'rho' needs an integer"),
+            (("--left", "rho=1,rho=2,mu=0,lam_tilde=-4,defect=0,stable=1", "--right", SIDE),
+             "duplicate mirror side field 'rho'"),
+            (("--left", SIDE, "--right", f"{SIDE}, stable =1"), "duplicate mirror side field 'stable'"),
         ],
     )
     def test_mirror_usage_errors(self, argv, message):

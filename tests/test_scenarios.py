@@ -125,15 +125,21 @@ class TestBuiltinRegistry:
         with pytest.raises(ValueError, match="prop14"):
             builtin_scenario("nonsense")
 
-    def test_malformed_arguments(self):
-        with pytest.raises(ValueError):
-            builtin_scenario("prop14:e")
-        with pytest.raises(ValueError):
-            builtin_scenario("prop14:e=x")
-        with pytest.raises(ValueError):
-            builtin_scenario("prop14:e=1,z=2")
-        with pytest.raises(ValueError):
-            builtin_scenario("special-demo:e=1")
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("prop14:e", "malformed scenario argument 'e'"),
+            ("prop14:e=x", "scenario argument 'e' needs an integer, got 'x'"),
+            ("prop14:e=1,z=2", "scenario 'prop14' does not accept: z"),
+            ("special-demo:e=1", "scenario 'special-demo' does not accept: e"),
+            ("prop14:e=1,e=2", "duplicate scenario argument 'e'"),
+            ("prop15:l=3, e=1,e =0", "duplicate scenario argument 'e'"),
+        ],
+    )
+    def test_malformed_arguments(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            builtin_scenario(spec)
+        assert str(exc.value) == message
 
 
 class TestDefaultLevelRange:
