@@ -12,8 +12,10 @@ Subcommands:
 Run descriptions come from files in the format of ``scenario_io`` (pass - to
 read stdin).  Every subcommand accepts ``--json`` for a machine-readable
 document with schema tag "towergrowth/1".  Each subcommand's handler computes
-and returns its exit code, JSON payload and text rows; ``run_command`` alone
-writes, the document or the rows, in one write.  Exit codes: 0 success or PASS,
+and returns its exit code and JSON payload; ``run_command`` alone writes, the
+document or the text rows that ``_rows`` reads from it, in one write.  The
+window fields of a sequence or a fit, and the fields a command's table entry
+marks, are JSON-only.  Exit codes: 0 success or PASS,
 1 a check ran and failed, 2 bad input, 3 a resource cap was exceeded, 141
 the output pipe was closed (128 + SIGPIPE, as a shell reports it).
 """

@@ -94,8 +94,6 @@ class TestGoldenJson:
 
 
 _SIDE = "rho=1,mu=0,lam_tilde=-4,defect=0,stable=1"
-# (group, argvs): every subcommand on the golden run files, the registry
-# tokens, valid and invalid, and mirror at its levels and on explicit sides
 _RUN_OPTIONS = [(), ("--k", "2"), ("--k", "-1"), ("--cap", "10")]
 _SCENARIO_OPTIONS = [
     (), ("--n-min", "1", "--n-max", "4"), ("--n-min", "2", "--n-max", "7"),
@@ -119,6 +117,8 @@ _MIRROR_SIDES = [
 
 
 def _frozen_calls():
+    """(group, argvs): every subcommand on the golden run files, the registry
+    tokens, valid and invalid, and mirror at its levels and on explicit sides."""
     for path in (MIXED, SPECIAL, TRANSIENT):
         for command in ("orders", "invariants", "fit", "verify"):
             options = _RUN_OPTIONS if command != "invariants" else [()]
