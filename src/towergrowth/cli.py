@@ -30,6 +30,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Collection
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -111,13 +112,15 @@ def _fit_json(fit: FitResult) -> dict:
 
 
 def _compute_sequence(spec: RunSpec, k_override: int | None, cap: int) -> OrderSequence:
-    """x(n, k) over the run's window, to be fitted.  The window first passes
-    the checks ``order_sequence`` makes before validation, so that a capped
-    one still exits 3, and is then refused if it is short, before validation
-    or any level."""
+    """x(n, k) over the run's window, to be fitted.  A short window is refused
+    before validation or any level, but after the checks ``order_sequence``
+    makes before validation, so that a capped one still exits 3."""
     shift = spec.shift if k_override is None else k_override
-    check_window(spec.module, spec.descent, spec.n_min, spec.n_max, shift, cap)
-    check_fit_window(spec.n_min, spec.n_max)
+    try:
+        check_fit_window(spec.n_min, spec.n_max)
+    except ValueError:
+        check_window(spec.module, spec.descent, spec.n_min, spec.n_max, shift, cap)
+        raise
     return order_sequence(
         spec.module, spec.descent, spec.n_min, spec.n_max, k=shift, dimension_cap=cap
     )
@@ -218,7 +221,7 @@ def _parse_side(text: str) -> MirrorSide:
     for piece in text.split(","):
         key, sep, value = piece.partition("=")
         key = key.strip()
-        if not sep:
+        if not sep or not key:
             raise ValueError(f"malformed mirror side field {piece!r}")
         if key in fields:
             raise ValueError(f"duplicate mirror side field {key!r}")
@@ -415,6 +418,34 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(command=argv[0], func=command.handler, **(defaults | given))
 
 
+def _json_text(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a document of dicts with str keys,
+    lists, tuples and scalars.  With an indent json.dumps runs its
+    pure-Python encoder; this writes the same bytes with the C string
+    encoder, int.__repr__, json's constants and json.dumps of a float."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [inner + _json_text(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(value)  # a float, or the TypeError json.dumps raises
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse parser built from ``_COMMANDS``, kept for the process.
@@ -467,7 +498,7 @@ def run_command(argv: list[str], out: TextIO | None = None, err: TextIO | None =
         code, payload = args.func(args)
         if args.json:
             doc = {"schema": SCHEMA, "command": args.command, **payload}
-            out.write(json.dumps(doc, indent=2) + "\n")
+            out.write(_json_text(doc) + "\n")
         else:
             rows = _rows(payload, _COMMANDS[args.command].json_only)
             out.write("\n".join(rows) + "\n")

@@ -33,6 +33,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import re
 
 from .modules import (
     DescentDatum,
@@ -88,25 +89,25 @@ def _parse_int(value: str, line: int, key: str) -> int:
         raise ScenarioParseError(line, f"{key} needs an integer, got {value!r}") from None
 
 
-def _is_int_list(value: object) -> bool:
-    return type(value) is list and all(type(x) is int for x in value)
+# values json.loads reads exactly as literal_eval does: a bracketed list of
+# integers, or of integer lists, in JSON's integer spelling with spaces and
+# tabs only, and at most 600 digits an integer, below the least
+# int_max_str_digits (640) json may be held to.  json reads true, NaN and
+# 1e3, which literal_eval rejects or types differently.
+_INT = r"-?(?:0|[1-9][0-9]{0,599})"
+_INT_LIST = rf"\[[ \t]*(?:{_INT}(?:[ \t]*,[ \t]*{_INT})*[ \t]*)?\]"
+_POLY = re.compile(_INT_LIST)
+_GENERATOR = re.compile(rf"\[[ \t]*(?:{_INT_LIST}(?:[ \t]*,[ \t]*{_INT_LIST})*[ \t]*)?\]")
 
 
 def _literal(value: str, line: int, message: str) -> object:
-    # json.loads is the fast path for the common case, but it reads true,
-    # NaN and 1e3 as values literal_eval rejects or types differently, and
-    # accepts a newline before or after the brackets where literal_eval
-    # sees an indent.  So only a bracketed list of ints and of int lists is
-    # taken from it; anything else goes to literal_eval, which decides every
-    # other value and every message.
-    if value.startswith("[") and value.endswith("]"):
-        try:
-            parsed = json.loads(value)
-        except (ValueError, RecursionError):
-            pass
-        else:
-            if all(type(x) is int or _is_int_list(x) for x in parsed):
-                return parsed
+    # A generator matching _GENERATOR does not come here: parse_run decodes
+    # all of them in one json.loads of their comma-joined values after its
+    # loop.  Each is valid JSON of that shape on its own, so the decode cannot
+    # fail, and brackets that balance only across two lines, [[1]],[[2] then
+    # [3]], match neither.  literal_eval decides every other value.
+    if _POLY.fullmatch(value):
+        return json.loads(value)
     try:
         return ast.literal_eval(value)
     except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
@@ -143,7 +144,9 @@ def parse_run(text: str) -> RunSpec:
     section: str | None = None
     scalars: dict[tuple[str, str], tuple[str, int]] = {}
     torsion: list[tuple[str, object, int]] = []
-    generators: list[tuple[list[list[int]], int]] = []
+    # a generator matching _GENERATOR waits as None for the one batch decode
+    generators: list[tuple[list[list[int]] | None, int]] = []
+    batch: list[str] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -172,13 +175,23 @@ def parse_run(text: str) -> RunSpec:
         elif section == "module" and key == "poly":
             torsion.append(("poly", _parse_int_list(value, line_no, key), line_no))
         elif section == "descent" and key == "generator":
-            generators.append((_parse_nested_list(value, line_no, key), line_no))
+            if _GENERATOR.fullmatch(value):
+                batch.append(value)
+                generators.append((None, line_no))
+            else:
+                generators.append((_parse_nested_list(value, line_no, key), line_no))
         elif (section, key) in _SCALAR_KEYS:
             if (section, key) in scalars:
                 raise ScenarioParseError(line_no, f"duplicate key {key!r}")
             scalars[(section, key)] = (value, line_no)
         else:
             raise ScenarioParseError(line_no, f"unknown key {key!r} in [{section}]")
+    if batch:
+        decoded = iter(json.loads("[" + ",".join(batch) + "]"))
+        generators = [
+            (next(decoded) if parsed is None else parsed, line_no)
+            for parsed, line_no in generators
+        ]
 
     # prime
     if ("prime", "l") not in scalars:

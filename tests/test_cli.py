@@ -398,6 +398,24 @@ class TestExitCodes:
         assert run(command, MIXED)[0] == 0
         assert calls
 
+    @pytest.mark.parametrize("command", ["fit", "verify"])
+    def test_window_is_checked_once(self, tmp_path, monkeypatch, command):
+        calls = []
+        check = quotients.check_window
+
+        def counted(*args):
+            calls.append(args)
+            check(*args)
+
+        monkeypatch.setattr(quotients, "check_window", counted)
+        monkeypatch.setattr(cli, "check_window", counted)
+        f = tmp_path / "short.run"
+        f.write_text(golden("mixed.run").replace("n_max = 5", "n_max = 3"))
+        for argv, code in [((MIXED,), 0), ((str(f),), 2), ((str(f), "--cap", "4"), 3)]:
+            assert run(command, *argv)[0] == code
+            assert len(calls) == 1
+            calls.clear()
+
     def test_scenario_short_window_is_refused_before_building_generators(self, monkeypatch):
         calls = []
         build = scenarios._full_span_generators
@@ -671,6 +689,8 @@ class TestStdinAndOverrides:
             (("--left", "rho=1,rho=2,mu=0,lam_tilde=-4,defect=0,stable=1", "--right", SIDE),
              "duplicate mirror side field 'rho'"),
             (("--left", SIDE, "--right", f"{SIDE}, stable =1"), "duplicate mirror side field 'stable'"),
+            (("--left", f"=1,{SIDE}", "--right", SIDE), "malformed mirror side field '=1'"),
+            (("--left", SIDE, "--right", f"{SIDE}, =1"), "malformed mirror side field ' =1'"),
         ],
     )
     def test_mirror_usage_errors(self, argv, message):
@@ -738,6 +758,63 @@ class TestTextIsThePayloadView:
             assert run(*argv) == (code, out, err)
             assert bool(rendered) == (not err)
             rendered.clear()
+
+
+# strings with quotes, backslashes, control characters and non-ASCII
+_JSON_KEYS = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "a", " "])
+)
+_JSON_SCALARS = (
+    st.integers(-(10**40), 10**40) | st.booleans() | st.none() | st.floats() | st.just(-0.0)
+    | _JSON_KEYS
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """``--json`` writes exactly ``json.dumps(doc, indent=2)`` and a newline,
+    without json's pure-Python encoder."""
+
+    @given(_JSON_DOCUMENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("group", list(FROZEN_CALLS))
+    def test_matches_json_dumps_on_every_frozen_payload(self, monkeypatch, group):
+        documents = []
+        write = cli._json_text
+
+        def recorded(value, indent=""):
+            if not indent:
+                documents.append(value)
+            return write(value, indent)
+
+        monkeypatch.setattr(cli, "_json_text", recorded)
+        for argv in FROZEN_CALLS[group]:
+            code, out, err = run(*argv, "--json")
+            if err:
+                assert (out, documents) == ("", [])
+                continue
+            (doc,) = documents
+            assert out == json.dumps(doc, indent=2) + "\n"
+            documents.clear()
+
+    @pytest.mark.parametrize("argv,name", GOLDEN_JSON)
+    def test_goldens_need_no_pure_python_encoder(self, monkeypatch, argv, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps({}, indent=2)
+        assert run(*argv) == (0, golden(name), "")
 
 
 # negatives, 0, a few small values, and huge values up to 10^12

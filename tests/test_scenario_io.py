@@ -3,6 +3,8 @@
 import ast
 import json
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from towergrowth import (
     parse_run,
     serialize_run,
 )
+from towergrowth import scenario_io
 from towergrowth.scenario_io import RunSpec, _literal
 
 from conftest import build_generic_case
@@ -285,3 +288,74 @@ class TestLiteralFastPath:
     )
     def test_json_only_forms_take_the_literal_eval_path(self, value):
         assert _outcome(_literal, value) == _outcome(_literal_reference, value)
+
+
+def _parse_reference(text):
+    """parse_run with every generator line decoded on its own through
+    ``_literal_reference``, as the batch decode must read it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_io, "_GENERATOR", re.compile(r"(?!)"))
+        mp.setattr(scenario_io, "_literal", _literal_reference)
+        return scenario_io.parse_run(text)
+
+
+def _run_outcome(parse, text):
+    try:
+        spec = parse(text)
+    except ScenarioParseError as exc:
+        return "error", str(exc), exc.line
+    return "value", spec, repr(spec)
+
+
+# generator values that json.loads, literal_eval or both read differently
+_GENERATOR_LINES = [
+    "[[01]]", "[[1,]]", "[[- 1]]", "((1,),)", "[[True]]", "[[1,\t2], [3]]", "[[1], [\t]]",
+    "[[" + "7" * 700 + "], [1]]", "[[" + "7" * 600 + "], [-" + "7" * 600 + "]]",
+    "[[1]],[[2]", "[3]]", "[[-0], []]", "[]", "[[]]", "[[1], [2], [3]]", "[1, [2]]",
+    "[[1.0], [2]]", "[[true], [1]]", "[[1], [2]] x", "[ [ 1 , 2 ] , [ 3 ] ]",
+]
+_GENERATOR_VALUES = st.one_of(
+    st.sampled_from(_GENERATOR_LINES),
+    st.lists(st.lists(st.integers(-(10**40), 10**40), max_size=3), max_size=3).map(json.dumps),
+)
+
+
+def _generator_file(values, tail=""):
+    lines = [f"generator = {v}" for v in values]
+    return "\n".join(
+        ["[prime]", "l = 2", "[module]", "free_rank = 1", "lpower = 1", "[descent]",
+         "kind = generic", "e = 0", *lines, tail]
+    )
+
+
+class TestGeneratorBatchDecode:
+    @given(st.lists(_GENERATOR_VALUES, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_line_by_line_decode(self, values):
+        text = _generator_file(values)
+        assert _run_outcome(parse_run, text) == _run_outcome(_parse_reference, text)
+
+    @pytest.mark.parametrize("values", [[], ["[[1]],[[2]", "[3]]"], ["[[1], [2]]", "[[01]]"]])
+    def test_an_earlier_bad_generator_wins_over_a_later_unknown_key(self, values):
+        text = _generator_file(values, tail="colour = blue")
+        outcome = _run_outcome(parse_run, text)
+        assert outcome == _run_outcome(_parse_reference, text)
+        assert outcome[0] == "error"
+        assert ("unknown key" in outcome[1]) == (values == [])
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    @pytest.mark.parametrize("digits", [600, 639, 640, 700])
+    def test_matches_at_the_least_digit_limit(self, digits):
+        text = _generator_file(["[[" + "7" * digits + "], [1]]"])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            outcome = _run_outcome(parse_run, text)
+            assert outcome == _run_outcome(_parse_reference, text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (outcome[0] == "error") == (digits > 640)
+
+    def test_lines_that_balance_only_together_stay_apart(self):
+        with pytest.raises(ScenarioParseError, match="line 10: generator needs a list"):
+            parse_run(_generator_file(["[[1], [2]]", "[[1]],[[2]", "[3]]"]))
