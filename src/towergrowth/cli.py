@@ -53,11 +53,12 @@ from .invariants import (
 )
 from .modules import CaseTag, classify_case, require_valid
 from .quotients import DEFAULT_DIMENSION_CAP, CapExceeded, OrderSequence, order_sequence
-from .quotients import check_caps, check_presentation, check_window
+from .quotients import _order_sequence, check_presentation, check_window
 from .scenario_io import RunSpec, parse_run
 from .scenarios import (
     MirrorSide,
     Scenario,
+    _int_fields,
     builtin_scenario,
     mirror_check,
     mirror_context_for_full_span,
@@ -111,19 +112,25 @@ def _fit_json(fit: FitResult) -> dict:
     }
 
 
-def _compute_sequence(spec: RunSpec, k_override: int | None, cap: int) -> OrderSequence:
-    """x(n, k) over the run's window, to be fitted.  A short window is refused
-    before validation or any level, but after the checks ``order_sequence``
-    makes before validation, so that a capped one still exits 3."""
-    shift = spec.shift if k_override is None else k_override
-    try:
-        check_fit_window(spec.n_min, spec.n_max)
-    except ValueError:
-        check_window(spec.module, spec.descent, spec.n_min, spec.n_max, shift, cap)
-        raise
-    return order_sequence(
-        spec.module, spec.descent, spec.n_min, spec.n_max, k=shift, dimension_cap=cap
-    )
+def _window(source: RunSpec | Scenario, args: argparse.Namespace) -> tuple[int, int, int]:
+    """(n_min, n_max, k) of a run or a scenario, each replaced by its option when given."""
+
+    def pick(field: str, dest: str) -> int:
+        given = getattr(args, dest, None)
+        return getattr(source, field) if given is None else given
+
+    return pick("n_min", "n_min"), pick("n_max", "n_max"), pick("shift", "k")
+
+
+def _fitted_sequence(source: RunSpec | Scenario, args: argparse.Namespace) -> OrderSequence:
+    """x(n, k) over the window of a run or a scenario, to be fitted.  The
+    window passes ``check_window`` and then the fitter's four levels before
+    the descent is read (a scenario may build it on that read), and only
+    then is it refused at or below e and validated."""
+    n_min, n_max, shift = _window(source, args)
+    check_window(source.module, n_min, n_max, shift, args.cap)
+    check_fit_window(n_min, n_max)
+    return _order_sequence(source.module, source.descent, n_min, n_max, shift)
 
 
 # what a handler returns: the exit code and the JSON payload
@@ -143,10 +150,8 @@ def _verdict(report: VerificationReport, head: dict) -> _Result:
 
 def _cmd_orders(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
-    shift = spec.shift if args.k is None else args.k
-    seq = order_sequence(
-        spec.module, spec.descent, spec.n_min, spec.n_max, k=shift, dimension_cap=args.cap
-    )
+    n_min, n_max, shift = _window(spec, args)
+    seq = order_sequence(spec.module, spec.descent, n_min, n_max, k=shift, dimension_cap=args.cap)
     return 0, _sequence_json(seq)
 
 
@@ -173,13 +178,13 @@ def _cmd_invariants(args: argparse.Namespace) -> _Result:
 
 def _cmd_fit(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
-    return 0, _fit_json(fit_parameters(_compute_sequence(spec, args.k, args.cap)))
+    return 0, _fit_json(fit_parameters(_fitted_sequence(spec, args)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     spec = _read_spec(args.file)
     # the sequence checks the cap and validates before the defect is ranked
-    seq = _compute_sequence(spec, args.k, args.cap)
+    seq = _fitted_sequence(spec, args)
     predicted = predict_parameters(spec.module, spec.descent)
     report = verify_prediction(predicted, fit_parameters(seq))
     return _verdict(report, {"predicted": _triple_json(predicted)})
@@ -187,15 +192,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
 
 def _cmd_scenario(args: argparse.Namespace) -> _Result:
     scenario: Scenario = builtin_scenario(args.name)
-    n_min = scenario.n_min if args.n_min is None else args.n_min
-    n_max = scenario.n_max if args.n_max is None else args.n_max
-    shift = scenario.shift if args.k is None else args.k
     # the full-span descent (l^e generators) is built once the window passes
-    check_caps(scenario.module, n_min, n_max, shift, args.cap)
-    check_fit_window(n_min, n_max)
-    seq = order_sequence(
-        scenario.module, scenario.descent, n_min, n_max, k=shift, dimension_cap=args.cap
-    )
+    seq = _fitted_sequence(scenario, args)
     # after the sequence, which checks the cap and validates before any defect
     predicted = predict_parameters(scenario.module, scenario.descent)
     if not (
@@ -217,18 +215,7 @@ def _cmd_scenario(args: argparse.Namespace) -> _Result:
 
 def _parse_side(text: str) -> MirrorSide:
     """Parse rho=..,mu=..,lam_tilde=..,defect=..,stable=.. into a side."""
-    fields = {}
-    for piece in text.split(","):
-        key, sep, value = piece.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ValueError(f"malformed mirror side field {piece!r}")
-        if key in fields:
-            raise ValueError(f"duplicate mirror side field {key!r}")
-        try:
-            fields[key] = int(value.strip())
-        except ValueError:
-            raise ValueError(f"mirror side field {key!r} needs an integer") from None
+    fields = _int_fields(text, "mirror side field")
     required = {"rho", "mu", "lam_tilde", "defect", "stable"}
     missing = required - fields.keys()
     if missing:
@@ -245,17 +232,14 @@ def _parse_side(text: str) -> MirrorSide:
 
 
 def _cmd_mirror(args: argparse.Namespace) -> _Result:
-    if (args.left is None) != (args.right is None):
-        raise ValueError("mirror needs either --level or both --left and --right")
-    if args.left is not None:
-        if args.level is not None:
-            raise ValueError("pass either --level or explicit sides, not both")
-        left = _parse_side(args.left)
-        right = _parse_side(args.right)
-    else:
-        if args.level is None:
-            raise ValueError("mirror needs either --level or both --left and --right")
+    if args.left is None and args.right is None and args.level is not None:
         left, right = mirror_context_for_full_span(args.level)
+    elif args.left is None or args.right is None:
+        raise ValueError("mirror needs either --level or both --left and --right")
+    elif args.level is not None:
+        raise ValueError("pass either --level or explicit sides, not both")
+    else:
+        left, right = _parse_side(args.left), _parse_side(args.right)
     report = mirror_check(left, right)
     return 0 if report.passed else 1, {
         "checks": [

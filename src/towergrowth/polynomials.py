@@ -15,7 +15,7 @@ the level ratios) are what every quotient construction downstream reduces by.
 Arithmetic in Z[T]/(c) for a monic c, optionally mod an integer q, has one
 primitive: the companion fold of T, ``residue``, and ``multiplication_matrix``
 built from it.  It reduces every generator part, gives the relation columns,
-and is every product in ``tower_residues``, which reaches nu_{n,e} mod (c, q)
+and is every product in ``tower_residue_steps``, which reaches nu_{n,e} mod (c, q)
 without the l^n coefficients of the exact ratio.
 """
 
@@ -316,33 +316,18 @@ def cyclotomic_factors(ell: Prime | int, e: int) -> tuple[IntPoly, ...]:
     return (T,) + tuple(tower_ratio(ell, i, i - 1) for i in range(1, e + 1))
 
 
-def tower_residues(
-    ell: Prime | int, n: int, e: int, modulus_poly: IntPoly, modulus_int: int
-) -> list[int]:
-    """tower_ratio(l, n, e) = nu_{n,e} modulo (modulus_poly, modulus_int).
-
-    The n-th level of ``tower_residue_steps``: n multiplication matrices of
-    degree deg(modulus_poly), never the l^n coefficients of the ratio.  The
-    result lists deg(modulus_poly) coefficients in [0, modulus_int), low
-    degree first; modulus_poly must be monic.  tower_poly(l, n) itself is
-    nu_{n,0} * T.
-
-    >>> tower_residues(2, 3, 1, T, 16)  # T = 0: nu = l^(n-e)
-    [4]
-    >>> tower_residues(2, 3, 1, IntPoly((2, 0, 1)), 16)
-    [0, 4]
-    """
-    if e < 0 or n < e:
-        raise ValueError(f"need 0 <= e <= n, got e={e}, n={n}")
-    steps = tower_residue_steps(ell, e, modulus_poly, modulus_int)
-    return next(itertools.islice(steps, n - e, None))
-
-
 def tower_residue_steps(
     ell: Prime | int, e: int, modulus_poly: IntPoly, modulus_int: int
 ) -> Iterator[list[int]]:
-    """nu_{n,e} modulo (modulus_poly, modulus_int) for n = e, e+1, ..., as
-    ``tower_residues`` lists it.
+    """tower_ratio(l, n, e) = nu_{n,e} modulo (modulus_poly, modulus_int) for
+    n = e, e+1, ..., never the l^n coefficients of the ratio.  Each lists
+    deg(modulus_poly) coefficients in [0, modulus_int), low degree first;
+    modulus_poly must be monic.  tower_poly(l, n) itself is nu_{n,0} * T.
+
+    >>> next(itertools.islice(tower_residue_steps(2, 1, T, 16), 2, None))  # T = 0: l^(n-e)
+    [4]
+    >>> next(itertools.islice(tower_residue_steps(2, 1, IntPoly((2, 0, 1)), 16), 2, None))
+    [0, 4]
 
     The ratio is the product over e <= i < n of 1 + u_i + ... + u_i^(l-1),
     where u_i = (1 + T)^(l^i).  Each level builds one multiplication matrix,

@@ -12,7 +12,7 @@ relation columns then one column per generator, is built once per datum,
 and level n is one product with it; no block grows with n:
 
 * the rows of a distinguished block Z[T]/(P) are multiplied by
-  M(nu mod (P, l^N)), the ``multiplication_matrix`` of ``tower_residues``:
+  M(nu mod (P, l^N)), the ``multiplication_matrix`` of ``tower_residue_steps``:
   M(nu) * M(omega_e) = M(omega_n) and M(nu) * g = nu * g mod P;
 * a free or l-power block Z[T]/(omega_e) stays as it is: multiplication by
   nu maps (Z/l^N)[T]/(omega_e) onto the Gal(K_n/K_e)-invariants of
@@ -35,9 +35,12 @@ with nu carried from level to level by ``tower_residue_steps``; without a
 distinguished block nothing changes between levels but N, and the window is
 one kernel call.
 
-One cap bounds the full ambient dimension coordinate_count * l^n (l^n for a
-module with no coordinate; not the rows the kernel sees; it also bounds the
-factors ``quotient_group`` lists) and the precision N (``check_caps``);
+``check_window`` makes every refusal that reads no descent, in this order:
+an empty window, n_min < 0, n_min + k < 1, then one cap on the full ambient
+dimension coordinate_count * l^n (l^n for a module with no coordinate; not
+the rows the kernel sees; it also bounds the factors ``quotient_group``
+lists) and on the precision N.  Only then is the descent read: a window of
+generic data with generators starts above e, a single level at e or above.
 ``check_presentation`` bounds the level-e data for a caller without a window.
 
 ``enumeration_oracle`` recomputes the same order by literal subgroup closure
@@ -138,15 +141,6 @@ class OrderSequence:
         return self.values[n - self.n_min]
 
 
-def _check_levels(descent: DescentDatum, n: int, k: int) -> None:
-    if n < 0:
-        raise ValueError("level n must be nonnegative")
-    if n + k < 1:
-        raise ValueError(f"need n + k >= 1, got n={n}, k={k}")
-    if isinstance(descent, GenericDescent) and descent.generators and n < descent.level:
-        raise ValueError(f"level n={n} is below the descent level e={descent.level}")
-
-
 def _first_level_over(ell: int, count: int, cap: int) -> int | None:
     """Least m >= 0 with count * l^m > cap (None if there is none), from the
     size of cap // count: no power of l past the cap is built."""
@@ -155,11 +149,19 @@ def _first_level_over(ell: int, count: int, cap: int) -> int | None:
     return ceil_log(cap // count + 1, ell)
 
 
-def check_caps(module: ElementaryModule, n_min: int, n_max: int, k: int, cap: int) -> None:
-    """The ambient dimension coordinate_count * l^n and the precision N = n + k
-    of every level in the window against the cap, before any l^n or l^N is built.
-    A module with no coordinate has l^n in its place: its orders are 0, but
-    validation builds tower_poly(l, e) below the window and the fitter l^n."""
+def check_window(module: ElementaryModule, n_min: int, n_max: int, k: int, cap: int) -> None:
+    """Every refusal of a window that reads no descent, in this order: an empty
+    window, n_min < 0, n_min + k < 1, then the ambient dimension
+    coordinate_count * l^n and the precision N = n + k of every level against
+    the cap, before any l^n or l^N is built.  A module with no coordinate has
+    l^n in its place: its orders are 0, but validation builds tower_poly(l, e)
+    below the window and the fitter l^n."""
+    if n_min > n_max:
+        raise ValueError(f"empty level range [{n_min}, {n_max}]")
+    if n_min < 0:
+        raise ValueError("level n must be nonnegative")
+    if n_min + k < 1:
+        raise ValueError(f"need n + k >= 1, got n={n_min}, k={k}")
     ell, count = module.prime.value, module.coordinate_count
     over = _first_level_over(ell, max(count, 1), cap)
     if over is not None and over <= n_max:
@@ -194,21 +196,6 @@ def check_presentation(module: ElementaryModule, descent: DescentDatum, cap: int
         size = f"tower_poly({ell}, {e}) has degree {ell}^{e} (defect bound {rank}*{ell}^{e})"
     if over is not None and over <= e:
         raise CapExceeded(f"{size}, above the cap {cap}")
-
-
-def check_window(
-    module: ElementaryModule, descent: DescentDatum, n_min: int, n_max: int, k: int, cap: int
-) -> None:
-    """What ``order_sequence`` checks before validation, in its order: a
-    nonempty window, above e for generic data with generators, the levels of
-    ``_check_levels``, then ``check_caps``."""
-    if n_min > n_max:
-        raise ValueError(f"empty level range [{n_min}, {n_max}]")
-    level = descent.level if isinstance(descent, GenericDescent) else 0
-    if isinstance(descent, GenericDescent) and descent.generators and n_min <= level:
-        raise ValueError(f"sequences for generic data start at n >= e+1 = {level + 1}")
-    _check_levels(descent, n_min, k)
-    check_caps(module, n_min, n_max, k, cap)
 
 
 def _quotients(
@@ -296,11 +283,19 @@ def _quotients(
         yield +counts
 
 
+def _check_level(
+    module: ElementaryModule, descent: DescentDatum, n: int, k: int, cap: int
+) -> None:
+    """``check_window`` of the one level n, then n >= e for generic data with generators."""
+    check_window(module, n, n, k, cap)
+    if isinstance(descent, GenericDescent) and descent.generators and n < descent.level:
+        raise ValueError(f"level n={n} is below the descent level e={descent.level}")
+
+
 def _level(
     module: ElementaryModule, descent: DescentDatum, n: int, k: int, cap: int
 ) -> Counter[int]:
-    _check_levels(descent, n, k)
-    check_caps(module, n, n, k, cap)
+    _check_level(module, descent, n, k, cap)
     [counts] = _quotients(module, descent, n, n, k)
     return counts
 
@@ -331,6 +326,22 @@ def order_valuation(
     return sum(v * m for v, m in counts.items())
 
 
+def _order_sequence(
+    module: ElementaryModule, descent: DescentDatum, n_min: int, n_max: int, k: int
+) -> OrderSequence:
+    """``order_sequence`` of a window that ``check_window`` has passed."""
+    level = descent.level if isinstance(descent, GenericDescent) else 0
+    if isinstance(descent, GenericDescent) and descent.generators and n_min <= level:
+        raise ValueError(f"sequences for generic data start at n >= e+1 = {level + 1}")
+    values = tuple(
+        sum(v * m for v, m in counts.items())
+        for counts in _quotients(module, descent, n_min, n_max, k)
+    )
+    return OrderSequence(
+        prime=module.prime.value, shift=k, level=level, n_min=n_min, values=values
+    )
+
+
 def order_sequence(
     module: ElementaryModule,
     descent: DescentDatum,
@@ -342,19 +353,14 @@ def order_sequence(
 ) -> OrderSequence:
     """x(n, k) for every n in [n_min, n_max], from one reduction of the window.
 
-    Generic data with generators require n_min > e: the window over which
-    the asymptotic parameters are read must sit strictly above the descent
-    level.
+    The window is refused in this order: empty, n_min < 0, n_min + k < 1,
+    over the ambient cap, over the precision cap (``check_window``, which
+    reads no descent), then n_min <= e for generic data with generators,
+    since the window over which the asymptotic parameters are read must sit
+    strictly above the descent level; only then is the descent validated.
     """
-    check_window(module, descent, n_min, n_max, k, dimension_cap)
-    values = tuple(
-        sum(v * m for v, m in counts.items())
-        for counts in _quotients(module, descent, n_min, n_max, k)
-    )
-    level = descent.level if isinstance(descent, GenericDescent) else 0
-    return OrderSequence(
-        prime=module.prime.value, shift=k, level=level, n_min=n_min, values=values
-    )
+    check_window(module, n_min, n_max, k, dimension_cap)
+    return _order_sequence(module, descent, n_min, n_max, k)
 
 
 def enumeration_oracle(
@@ -374,9 +380,13 @@ def enumeration_oracle(
     which the fast engine never builds, then mod l^N.  The only definition the
     two share is ``tower_poly``, which tests check against repeated
     multiplication by 1 + T; none of the engine's companion fold runs here.
+
+    The level is checked as ``order_valuation`` checks it, with ``element_cap``
+    for the cap: l^(dim * N) elements within it keep dim and N within it, and
+    a module with no coordinate still builds tower_poly(l, n).
     """
+    _check_level(module, descent, n, k, element_cap)
     require_valid(module, descent)
-    _check_levels(descent, n, k)
     exponent = n + k
     ell = module.prime.value
     # l^(dim * N) elements exceed the cap iff dim * N >= least, l^least > cap

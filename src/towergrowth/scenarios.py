@@ -205,6 +205,25 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def _int_fields(text: str, what: str) -> dict[str, int]:
+    """The fields of ``key=value,key=value``, each value an integer; a piece
+    without ``=`` or a key, a repeated key and a value that is not an integer
+    are refused, ``what`` naming a field in the message."""
+    fields: dict[str, int] = {}
+    for piece in text.split(","):
+        key, sep, value = piece.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise ValueError(f"malformed {what} {piece!r}")
+        if key in fields:
+            raise ValueError(f"duplicate {what} {key!r}")
+        try:
+            fields[key] = int(value)
+        except ValueError:
+            raise ValueError(f"{what} {key!r} needs an integer, got {value!r}") from None
+    return fields
+
+
 def builtin_scenario(spec: str) -> Scenario:
     """Build a registry scenario from ``name`` or ``name:key=val,key=val``.
 
@@ -216,21 +235,7 @@ def builtin_scenario(spec: str) -> Scenario:
     if name not in _REGISTRY:
         known = ", ".join(scenario_names())
         raise ValueError(f"unknown scenario {name!r}; known scenarios: {known}")
-    params: dict[str, int] = {}
-    if arg_part.strip():
-        for piece in arg_part.split(","):
-            key, sep, value = piece.partition("=")
-            key = key.strip()
-            if not sep or not key:
-                raise ValueError(f"malformed scenario argument {piece!r}")
-            if key in params:
-                raise ValueError(f"duplicate scenario argument {key!r}")
-            try:
-                params[key] = int(value.strip())
-            except ValueError:
-                raise ValueError(
-                    f"scenario argument {key!r} needs an integer, got {value.strip()!r}"
-                ) from None
+    params = _int_fields(arg_part, "scenario argument") if arg_part.strip() else {}
     scenario = _REGISTRY[name](params)
     if params:
         extra = ", ".join(sorted(params))

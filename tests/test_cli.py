@@ -22,6 +22,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from towergrowth import (
     OrderSequence,
+    RunSpec,
     cli,
     fit_parameters,
     invariants,
@@ -30,6 +31,7 @@ from towergrowth import (
     parse_run,
     quotients,
     scenarios,
+    serialize_run,
 )
 from towergrowth.cli import SCHEMA, run_command
 
@@ -398,7 +400,7 @@ class TestExitCodes:
         assert run(command, MIXED)[0] == 0
         assert calls
 
-    @pytest.mark.parametrize("command", ["fit", "verify"])
+    @pytest.mark.parametrize("command", ["orders", "fit", "verify", "scenario"])
     def test_window_is_checked_once(self, tmp_path, monkeypatch, command):
         calls = []
         check = quotients.check_window
@@ -411,10 +413,66 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "check_window", counted)
         f = tmp_path / "short.run"
         f.write_text(golden("mixed.run").replace("n_max = 5", "n_max = 3"))
-        for argv, code in [((MIXED,), 0), ((str(f),), 2), ((str(f), "--cap", "4"), 3)]:
-            assert run(command, *argv)[0] == code
-            assert len(calls) == 1
+        if command == "scenario":
+            # window 2..6; --n-min 1 is refused at e = 1, after check_window
+            cases = [((), 0), (("--n-max", "4"), 2), (("--cap", "4"), 3),
+                     (("--n-min", "1"), 2), (("--k", "-2"), 2)]
+            cases = [(("prop14:e=1", *argv), code) for argv, code in cases]
+        else:
+            short = 0 if command == "orders" else 2  # orders has no fitter
+            cases = [((MIXED,), 0), ((str(f),), short), ((str(f), "--cap", "4"), 3),
+                     ((MIXED, "--k", "-1"), 2)]
+        for argv, code in cases:
+            assert run(command, *argv)[0] == code, argv
+            assert len(calls) == 1, argv
             calls.clear()
+        assert not hasattr(cli, "check_caps")
+
+    # orders, fit, verify and scenario on prop14:e=2 and the same window
+    # (n_min, n_max, options): the one order is empty, n_min >= 0, n_min + k
+    # >= 1, the ambient and precision caps, four levels (not for orders),
+    # then n_min > e
+    @pytest.mark.parametrize(
+        "window,code,message,commands",
+        [
+            ((1, 3, "--cap", "4"), 3, "ambient dimension 8 exceeds the cap 4 at level n=3",
+             ["orders", "fit", "verify", "scenario"]),
+            ((1, 3), 2, "fitting needs at least four consecutive entries",
+             ["fit", "verify", "scenario"]),
+            ((1, 3), 2, "sequences for generic data start at n >= e+1 = 3", ["orders"]),
+            ((1, 4), 2, "sequences for generic data start at n >= e+1 = 3",
+             ["orders", "fit", "verify", "scenario"]),
+            ((0, 3, "--k", "0"), 2, "need n + k >= 1, got n=0, k=0",
+             ["orders", "fit", "verify", "scenario"]),
+        ],
+    )
+    def test_same_datum_same_refusal(self, tmp_path, window, code, message, commands):
+        n_min, n_max, *options = window
+        scenario = scenarios.builtin_scenario("prop14:e=2")
+        f = tmp_path / "prop14.run"
+        f.write_text(serialize_run(RunSpec(scenario.module, scenario.descent, n_min, n_max)))
+        for command in commands:
+            if command == "scenario":
+                argv = ("prop14:e=2", "--n-min", str(n_min), "--n-max", str(n_max))
+            else:
+                argv = (str(f),)
+            assert run(command, *argv, *options) == (code, "", f"error: {message}\n"), command
+
+    def test_each_refusal_is_stated_once(self):
+        source = "".join(
+            path.read_text() for path in Path(cli.__file__).parent.glob("*.py")
+        )
+        for message in [
+            "mirror needs either",
+            "malformed {what}",
+            "duplicate {what}",
+            "{what} {key!r} needs an integer",
+            "need n + k >= 1",
+            "level n must be nonnegative",
+            "empty level range",
+            "sequences for generic data start at",
+        ]:
+            assert source.count(message) == 1, message
 
     def test_scenario_short_window_is_refused_before_building_generators(self, monkeypatch):
         calls = []
@@ -685,7 +743,8 @@ class TestStdinAndOverrides:
             ((), "mirror needs either --level or both --left and --right"),
             (("--left", SIDE), "mirror needs either --level or both --left and --right"),
             (("--left", "rho=1,mu", "--right", SIDE), "malformed mirror side field 'mu'"),
-            (("--left", SIDE, "--right", "rho=x,mu=0"), "mirror side field 'rho' needs an integer"),
+            (("--left", SIDE, "--right", "rho=x,mu=0"),
+             "mirror side field 'rho' needs an integer, got 'x'"),
             (("--left", "rho=1,rho=2,mu=0,lam_tilde=-4,defect=0,stable=1", "--right", SIDE),
              "duplicate mirror side field 'rho'"),
             (("--left", SIDE, "--right", f"{SIDE}, stable =1"), "duplicate mirror side field 'stable'"),
@@ -731,7 +790,7 @@ class TestClassificationRendering:
     )
     def test_fit_text_and_json(self, monkeypatch, values, text, doc):
         planted = OrderSequence(2, 0, 0, 1, tuple(values))
-        monkeypatch.setattr(cli, "order_sequence", lambda *args, **kwargs: planted)
+        monkeypatch.setattr(cli, "_order_sequence", lambda *args, **kwargs: planted)
         code, out, err = run("fit", MIXED)
         assert (code, err) == (0, "")
         assert f"classification\t{text}\n" in out
