@@ -389,16 +389,15 @@ def enumeration_oracle(
     require_valid(module, descent)
     exponent = n + k
     ell = module.prime.value
-    # l^(dim * N) elements exceed the cap iff dim * N >= least, l^least > cap
-    least = _first_level_over(ell, 1, element_cap)
-    over = _first_level_over(ell, module.coordinate_count * exponent, least - 1)
-    if over is not None and over <= n:
+    # _check_level keeps dim within the cap; l^(dim * N) elements exceed it
+    # iff dim * N >= least, the least m with l^m > cap
+    block = ell**n
+    dim = module.coordinate_count * block
+    if dim * exponent >= _first_level_over(ell, 1, element_cap):
         raise CapExceeded(
             f"ambient module has l^({module.coordinate_count}*{ell}^{n}*{exponent}) "
             f"elements, cap is {element_cap}"
         )
-    block = ell**n
-    dim = module.coordinate_count * block
     q = ell**exponent
     ambient = q**dim
     w = tower_poly(module.prime, n)

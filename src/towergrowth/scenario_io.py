@@ -25,6 +25,8 @@ Torsion factors keep their file order, which fixes the coordinate layout the
 generators refer to: free coordinates first, then one coordinate per torsion
 factor.  The [run] section may be omitted; the default window then starts
 just above the descent level and is wide enough for parameter fitting.
+The reader fills in those defaults and keeps the window as written: the
+window commands refuse an empty one through ``quotients.check_window``.
 Parse errors carry the offending line number.
 """
 
@@ -193,30 +195,32 @@ def parse_run(text: str) -> RunSpec:
             for parsed, line_no in generators
         ]
 
+    def integer(section: str, key: str, default: int = 0) -> tuple[int, int | None]:
+        # (value, line) of a scalar key, or (default, None) when it is absent
+        if (section, key) not in scalars:
+            return default, None
+        value, line_no = scalars[(section, key)]
+        return _parse_int(value, line_no, key), line_no
+
     # prime
     if ("prime", "l") not in scalars:
         raise ScenarioParseError(None, "missing [prime] section with l = <prime>")
-    value, line_no = scalars[("prime", "l")]
+    ell, line_no = integer("prime", "l")
     try:
-        prime = as_prime(_parse_int(value, line_no, "l"))
+        prime = as_prime(ell)
     except ValueError as exc:
         raise ScenarioParseError(line_no, str(exc)) from None
-    ell = prime.value
 
     # module
-    free_rank = 0
-    if ("module", "free_rank") in scalars:
-        value, line_no = scalars[("module", "free_rank")]
-        free_rank = _parse_int(value, line_no, "free_rank")
-        if free_rank < 0:
-            raise ScenarioParseError(line_no, "free_rank must be nonnegative")
+    free_rank, line_no = integer("module", "free_rank")
+    if free_rank < 0:
+        raise ScenarioParseError(line_no, "free_rank must be nonnegative")
     factors: list[TorsionFactor] = []
     for kind, payload, line_no in torsion:
         if kind == "lpower":
-            exponent = payload
-            if not isinstance(exponent, int) or exponent < 1:
+            if payload < 1:
                 raise ScenarioParseError(line_no, "lpower needs a positive exponent")
-            factors.append(LPower(exponent=exponent))
+            factors.append(LPower(exponent=payload))
         else:
             poly = IntPoly(tuple(payload))
             if poly.degree < 1:
@@ -238,60 +242,48 @@ def parse_run(text: str) -> RunSpec:
             None, "missing [descent] section with kind = special or generic"
         )
     value, kind_line = scalars[("descent", "kind")]
-    level = 0
-    descent: DescentDatum
-    if value == "special":
-        if ("descent", "e") in scalars:
-            raise ScenarioParseError(
-                scalars[("descent", "e")][1], "special descent takes no level e"
-            )
-        if generators:
-            raise ScenarioParseError(
-                generators[0][1], "special descent takes no generators"
-            )
-        descent = SpecialDescent()
-    elif value == "generic":
-        if ("descent", "e") not in scalars:
-            raise ScenarioParseError(kind_line, "generic descent needs a level e")
-        e_value, e_line = scalars[("descent", "e")]
-        level = _parse_int(e_value, e_line, "e")
-        if level < 0:
-            raise ScenarioParseError(e_line, "level e must be nonnegative")
-        elements = []
-        for coeff_lists, line_no in generators:
-            if len(coeff_lists) != module.coordinate_count:
-                raise ScenarioParseError(
-                    line_no,
-                    f"generator has {len(coeff_lists)} coordinate lists, the "
-                    f"module has {module.coordinate_count} coordinates",
-                )
-            coords = tuple(IntPoly(tuple(c)) for c in coeff_lists)
-            elements.append(
-                ModuleElement(
-                    free_coords=coords[:free_rank],
-                    torsion_coords=coords[free_rank:],
-                )
-            )
-        descent = GenericDescent(level=level, generators=tuple(elements))
-    else:
+    if value not in ("special", "generic"):
         raise ScenarioParseError(
             kind_line, f"kind must be special or generic, got {value!r}"
         )
+    special = value == "special"
+    if special and ("descent", "e") in scalars:
+        raise ScenarioParseError(
+            scalars[("descent", "e")][1], "special descent takes no level e"
+        )
+    if special and generators:
+        raise ScenarioParseError(
+            generators[0][1], "special descent takes no generators"
+        )
+    if not special and ("descent", "e") not in scalars:
+        raise ScenarioParseError(kind_line, "generic descent needs a level e")
+    level, line_no = integer("descent", "e")
+    if level < 0:
+        raise ScenarioParseError(line_no, "level e must be nonnegative")
+    elements = []
+    for coeff_lists, line_no in generators:
+        if len(coeff_lists) != module.coordinate_count:
+            raise ScenarioParseError(
+                line_no,
+                f"generator has {len(coeff_lists)} coordinate lists, the "
+                f"module has {module.coordinate_count} coordinates",
+            )
+        coords = tuple(IntPoly(tuple(c)) for c in coeff_lists)
+        elements.append(
+            ModuleElement(
+                free_coords=coords[:free_rank],
+                torsion_coords=coords[free_rank:],
+            )
+        )
+    descent: DescentDatum = (
+        SpecialDescent() if special else GenericDescent(level=level, generators=tuple(elements))
+    )
 
-    # run window
+    # run window: check_window refuses an empty one
     default_min, default_max = default_level_range(ell, level)
-    n_min, n_max, shift = default_min, default_max, 0
-    if ("run", "n_min") in scalars:
-        value, line_no = scalars[("run", "n_min")]
-        n_min = _parse_int(value, line_no, "n_min")
-    if ("run", "n_max") in scalars:
-        value, line_no = scalars[("run", "n_max")]
-        n_max = _parse_int(value, line_no, "n_max")
-    if ("run", "k") in scalars:
-        value, line_no = scalars[("run", "k")]
-        shift = _parse_int(value, line_no, "k")
-    if n_min > n_max:
-        raise ScenarioParseError(None, f"empty level window [{n_min}, {n_max}]")
+    n_min, _ = integer("run", "n_min", default_min)
+    n_max, _ = integer("run", "n_max", default_max)
+    shift, _ = integer("run", "k")
 
     return RunSpec(
         module=module, descent=descent, n_min=n_min, n_max=n_max, shift=shift
@@ -299,19 +291,14 @@ def parse_run(text: str) -> RunSpec:
 
 
 def serialize_run(run: RunSpec) -> str:
-    """Canonical text form; ``parse_run`` inverts it exactly."""
-
-    def int_list(p: IntPoly) -> str:
-        coeffs = list(p.coeffs) if not p.is_zero else [0]
-        return "[" + ", ".join(str(c) for c in coeffs) + "]"
-
+    """Canonical text form, a zero polynomial as ``[0]``; ``parse_run`` inverts it exactly."""
     lines = ["[prime]", f"l = {run.module.prime.value}", "", "[module]"]
     lines.append(f"free_rank = {run.module.free_rank}")
     for factor in run.module.torsion_factors:
         if isinstance(factor, LPower):
             lines.append(f"lpower = {factor.exponent}")
         else:
-            lines.append(f"poly = {int_list(factor.poly)}")
+            lines.append(f"poly = {json.dumps(factor.poly.coeffs)}")
     lines.extend(["", "[descent]"])
     if isinstance(run.descent, SpecialDescent):
         lines.append("kind = special")
@@ -319,8 +306,8 @@ def serialize_run(run: RunSpec) -> str:
         lines.append("kind = generic")
         lines.append(f"e = {run.descent.level}")
         for gen in run.descent.generators:
-            coords = ", ".join(int_list(c) for c in gen.coords)
-            lines.append(f"generator = [{coords}]")
+            coords = [c.coeffs or [0] for c in gen.coords]
+            lines.append(f"generator = {json.dumps(coords)}")
     lines.extend(
         [
             "",

@@ -470,6 +470,7 @@ class TestExitCodes:
             "need n + k >= 1",
             "level n must be nonnegative",
             "empty level range",
+            "empty level",
             "sequences for generic data start at",
         ]:
             assert source.count(message) == 1, message

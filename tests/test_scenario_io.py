@@ -1,10 +1,13 @@
 """Run-file parsing and serialization."""
 
 import ast
+import hashlib
+import io
 import json
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,7 @@ from towergrowth import (
     serialize_run,
 )
 from towergrowth import scenario_io
+from towergrowth.cli import run_command
 from towergrowth.scenario_io import RunSpec, _literal
 
 from conftest import build_generic_case
@@ -95,6 +99,12 @@ class TestParse:
         assert kinds == ("DistinguishedFactor", "LPower", "DistinguishedFactor")
 
 
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(list(argv), out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "text,line,fragment",
@@ -155,13 +165,31 @@ class TestParseErrors:
             parse_run("l = 2\n[prime]\nl = 2\n")
         assert exc.value.line == 1
 
-    def test_bad_window(self):
+    def test_bad_window(self, tmp_path):
+        # the reader keeps an empty window; the window commands refuse it
         text = (
             "[prime]\nl = 2\n[module]\nfree_rank = 1\n[descent]\nkind = special\n"
             "[run]\nn_min = 3\nn_max = 2\n"
         )
-        with pytest.raises(ScenarioParseError):
+        spec = parse_run(text)
+        assert (spec.n_min, spec.n_max) == (3, 2)
+        path = tmp_path / "empty.run"
+        path.write_text(text)
+        for command in ("orders", "fit", "verify"):
+            assert _cli(command, str(path)) == (2, "", "error: empty level range [3, 2]\n")
+        # invariants reads no window
+        assert _cli("invariants", str(path))[0] == 0
+
+    @pytest.mark.parametrize("value", ["x", "(1, 2)", ""])
+    def test_bad_prime_has_one_line_prefix(self, value, tmp_path):
+        text = f"[prime]\nl = {value}\n[module]\nfree_rank = 1\n[descent]\nkind = special\n"
+        message = f"line 2: l needs an integer, got {value!r}"
+        with pytest.raises(ScenarioParseError) as exc:
             parse_run(text)
+        assert (str(exc.value), exc.value.line) == (message, 2)
+        path = tmp_path / "bad.run"
+        path.write_text(text)
+        assert _cli("orders", str(path)) == (2, "", f"error: {message}\n")
 
     def test_error_formatting(self):
         err = ScenarioParseError(7, "bad thing")
@@ -359,3 +387,80 @@ class TestGeneratorBatchDecode:
     def test_lines_that_balance_only_together_stay_apart(self):
         with pytest.raises(ScenarioParseError, match="line 10: generator needs a list"):
             parse_run(_generator_file(["[[1], [2]]", "[[1]],[[2]", "[3]]"]))
+
+
+# lines the guard corpus inserts: stray, broken and unknown sections and
+# keys, and keys that repeat or contradict the canonical ones
+_BAD_LINES = (
+    "[woods]", "[prime", "[prime]", "[module]", "[descent]", "[run]", "junk", "= 1",
+    "colour = blue", "level = 1", "l = 3", "l = x", "free_rank = -1", "lpower = 0",
+    "lpower = x", "poly = [1, 1]", "poly = []", "kind = special", "kind = sideways",
+    "e = 1", "e = -1", "generator = [[1], [2]]", "generator = []", "n_min = 9",
+    "n_max = 0", "k = -2",
+)
+# values the guard corpus puts in place of a canonical one
+_BAD_VALUES = (
+    "", "x", "(1, 2)", "-1", "0", "1", "3", "4", "9", "1.5", "1_0", " 7", "True", "9" * 5000,
+    "[]", "[[]]", "[0, 1]", "[2, 1]", "[1, 2.5]", "{[]: 1}", "[[1], [2]]",
+    "[[1], [0, 1], [3]]", "generic", "special",
+)
+
+
+def _mangled(rng):
+    """The canonical file with one to three edits: a line deleted, duplicated,
+    swapped with another or inserted from ``_BAD_LINES``, or a value replaced
+    from ``_BAD_VALUES``."""
+    lines = CANONICAL.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        edit, i = rng.randrange(5), rng.randrange(len(lines))
+        if edit == 0:
+            del lines[i]
+        elif edit == 1:
+            lines.insert(i, lines[i])
+        elif edit == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == 3:
+            lines.insert(i, rng.choice(_BAD_LINES))
+        else:
+            keyed = [i for i, line in enumerate(lines) if "=" in line]
+            if keyed:
+                i = rng.choice(keyed)
+                lines[i] = lines[i].partition("=")[0] + "= " + rng.choice(_BAD_VALUES)
+    return "\n".join(lines) + "\n"
+
+
+def _guard_outcome(text):
+    """(kind, outcome): the error's message and line, or the spec's repr.
+
+    The digest was frozen when the reader itself refused an empty window, with
+    ``input: empty level window [a, b]``, and put a bad l's line prefix on its
+    message twice; both read as the outcomes the reader gives now."""
+    try:
+        spec = parse_run(text)
+    except ScenarioParseError as exc:
+        if "empty level window" in str(exc):
+            return "empty window", "empty window"
+        return "error", re.sub(r"^(line \d+: )\1", r"\1", str(exc)) + f"|{exc.line}"
+    if spec.n_min > spec.n_max:
+        return "empty window", "empty window"
+    return "spec", repr(spec)
+
+
+GUARD_SEED, GUARD_FILES = 2311, 6000
+FROZEN_GUARD_KINDS = {"error": 5196, "spec": 790, "empty window": 14}
+FROZEN_GUARD_DIGEST = "05bb653597c8083b"
+
+
+class TestGuardCorpus:
+    def test_outcomes_match_frozen_digest(self):
+        """Every message, its line and which of two faults is reported first."""
+        rng = random.Random(GUARD_SEED)
+        digest = hashlib.sha256()
+        kinds = Counter()
+        for _ in range(GUARD_FILES):
+            kind, outcome = _guard_outcome(_mangled(rng))
+            kinds[kind] += 1
+            digest.update(outcome.encode() + b"\0")
+        assert dict(kinds) == FROZEN_GUARD_KINDS
+        assert digest.hexdigest()[:16] == FROZEN_GUARD_DIGEST
