@@ -4,6 +4,12 @@ The package computes, in exact integer arithmetic, the orders of the finite
 tower quotients of an elementary module over the one-variable power series
 ring at a prime l, together with the structural invariants and the asymptotic
 parameters (rho, mu, lam_tilde) that govern the growth of those orders.
+
+``cyclotomic_factors`` and ``tower_ratio`` stay public although the engine's
+own path uses neither.  They are the exact references beside it:
+``enumeration_oracle`` and ``demos/descent_defect.py`` multiply by
+``tower_ratio``, and the tests' corpus builds valid generic data from the
+irreducible factors that ``cyclotomic_factors`` lists.
 """
 
 from .fitting import (

@@ -13,8 +13,9 @@ has bounded spread.
 
 The generic case subtracts a codescent defect from the distinguished-degree
 invariant: the rank over Q of the descent generators' free coordinates in
-E / tower_poly(l, e)·E, read from the free blocks of the memoised matrix that
-validation uses, one elimination with ``span_invariants``.  For valid
+E / tower_poly(l, e)·E.  Validation's one elimination of the datum
+(``modules._reduction``) pivots those free rows first and counts it, so the
+defect is read off that memo and runs no elimination of its own.  For valid
 data this equals the per-factor count of the paper, the sum over the
 irreducible factors c of tower_poly(l, e) of deg(c) times the rank over the
 field Q[x]/(c); ``codescent_defect`` says why.
@@ -25,15 +26,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from .linalg import span_invariants
 from .modules import (
     CaseTag,
     DescentDatum,
-    DistinguishedFactor,
     ElementaryModule,
     GenericDescent,
     LPower,
-    _presentation,
+    _reduction,
     classify_case,
 )
 
@@ -94,8 +93,11 @@ def codescent_defect(module: ElementaryModule, descent: DescentDatum) -> int:
     """Defect subtracted from the distinguished degree in the generic case.
 
     Zero for special and trivial descent data.  Otherwise the rank over Q of
-    the generators' free coordinates mod tower_poly(l, e), the free blocks of
-    ``_presentation``.
+    the generators' free coordinates mod tower_poly(l, e): the free rows of
+    the level-e presentation, whose unit pivots validation's elimination
+    takes first (``modules._reduction``), counting the rank of whatever
+    Schur complement they leave.  A generator of the wrong shape raises the
+    ``ValueError`` that ``validate_descent`` raises.
 
     The data are assumed valid (``validate_descent``), and the rank is the
     defect only then: the span of valid generators mod tower_poly(l, e) is
@@ -106,13 +108,7 @@ def codescent_defect(module: ElementaryModule, descent: DescentDatum) -> int:
     over Q[T]/(c).  Rank is preserved under extension of the ground field,
     so this is also the count over the l-adic fields.
     """
-    if classify_case(module, descent) is not CaseTag.GENERIC:
-        return 0
-    assert isinstance(descent, GenericDescent)
-    layout, _, columns = _presentation(module, descent)
-    stop = sum(m.degree for idx, _, m in layout if idx < module.free_rank)  # free blocks first
-    free = [{r: x for r, x in col.items() if r < stop} for col in columns]
-    return span_invariants(free, stop, module.prime.value)[0]
+    return _reduction(module, descent).kappa
 
 
 def defect_bound(module: ElementaryModule, descent: DescentDatum) -> int:

@@ -27,13 +27,13 @@ s is divisible by l^s, since that column of the pivot clears it without
 touching another live row, and its entry at every row left unpivoted is 0
 mod l^N.
 
-``span_invariants`` runs the same kernel at a precision N chosen past the
-l-valuation of every nonzero elementary divisor of an integer matrix, so the
-rank and the total l-valuation of its Smith form can be read off the folded
-valuations (Cohen, GTM 138, §2.4: the Smith form modulo a multiple of the
-determinant).  ``span_members`` decides membership in the l-local span of W
-with one elimination of W that carries the vectors, at that precision raised
-by the largest vector's norm exponent.
+``span_elimination`` runs the same kernel at a precision N chosen past the
+l-valuation of every nonzero elementary divisor of an integer matrix, raised
+by the largest carried vector's norm exponent (Cohen, GTM 138, §2.4: the
+Smith form modulo a multiple of the determinant).  One elimination then
+gives the valuations of the nonzero elementary divisors, the membership of
+each vector in the l-local span of the columns and the rank over Q of
+chosen rows, which it pivots first.
 """
 
 from __future__ import annotations
@@ -88,21 +88,12 @@ def divisor_valuations(
         raise ValueError("exponent must be at least 1")
     top = ell**exponent
     live, holders = _live_rows(columns, top)
-    # the carried entries by row, {vector: entry}, kept in (-l^N, l^N)
-    carry: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for k, vector in enumerate(carried or ()):
-        for i, x in vector.items():
-            if not -top < x < top:
-                x %= top
-            if x:
-                carry[i][k] = x
+    carry = _carry_rows(carried or (), top)
     diag, outside = _eliminate(live, holders, carry, ell, exponent)
     valuations = diag + [exponent] * (dimension - len(diag))
     if carried is None:
         return valuations
-    # what is left sits at unpivoted rows, where only 0 mod l^N is in the span
-    outside.update(k for row in carry.values() for k, x in row.items() if x)
-    return valuations, [k not in outside for k in range(len(carried))]
+    return valuations, _members(carry, outside, len(carried))
 
 
 def unit_pivots(
@@ -125,11 +116,7 @@ def unit_pivots(
     """
     live, holders = _live_rows(columns, ell**exponent)
     diag, _ = _eliminate(live, holders, {}, ell, exponent, set(rows))
-    remainder: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for i, entries in live.items():
-        for j, x in entries.items():
-            remainder[j][i] = x
-    return len(diag), list(remainder.values())
+    return len(diag), _columns(live)
 
 
 def _live_rows(columns: list[dict], q: int) -> tuple[defaultdict, defaultdict]:
@@ -145,6 +132,35 @@ def _live_rows(columns: list[dict], q: int) -> tuple[defaultdict, defaultdict]:
                 live[i][j] = x
                 holders[j].add(i)
     return live, holders
+
+
+def _columns(rows: dict) -> list[dict]:
+    """The matrix with these {row: {column: entry}} rows, as its columns."""
+    columns: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for i, entries in rows.items():
+        for j, x in entries.items():
+            columns[j][i] = x
+    return list(columns.values())
+
+
+def _carry_rows(vectors: list[dict], q: int) -> defaultdict:
+    """The carried entries by row, {vector: entry}, kept in (-q, q)."""
+    carry: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for k, vector in enumerate(vectors):
+        for i, x in vector.items():
+            if not -q < x < q:
+                x %= q
+            if x:
+                carry[i][k] = x
+    return carry
+
+
+def _members(carry: dict, outside: set[int], count: int) -> list[bool]:
+    """Whether each of ``count`` carried vectors lies in the span, once the
+    elimination is done: what is left sits at unpivoted rows, where only
+    0 mod l^N is in the span."""
+    outside.update(k for row in carry.values() for k, x in row.items() if x)
+    return [k not in outside for k in range(count)]
 
 
 def _eliminate(
@@ -243,51 +259,63 @@ def _norm_exponent(column: Collection[int], ell: int) -> int:
     return (ceil_log(sum(map(operator.mul, column, column)), ell) + 1) // 2
 
 
-def span_invariants(columns: list[dict], dimension: int, ell: int) -> tuple[int, int]:
-    """Rank and total l-valuation of the Smith form of the matrix with these
-    columns, given as for ``divisor_valuations``.
+def span_elimination(
+    columns: list[dict],
+    dimension: int,
+    ell: int,
+    vectors: list[dict] = (),
+    rows: Collection[int] = (),
+) -> tuple[list[int], list[bool], int]:
+    """One elimination of the columns that carries the vectors, all given as
+    for ``divisor_valuations``: the l-valuations of the nonzero elementary
+    divisors of the matrix, in nondecreasing order; whether each vector lies
+    in the l-local span of the columns; and the rank over Q of the matrix's
+    ``rows``.
 
-    For nested l-local spans W <= W' the pair is equal exactly when the spans
-    are equal.  The kernel runs at N = 1 + the sum of the norm exponents of
-    the min(rows, columns) largest columns: by Hadamard's inequality a nonzero
-    r x r minor is at most the product of its columns' norms, and the product
-    of the r nonzero elementary divisors divides every such minor, so each of
-    them has l-valuation below N while the zero divisors fold to N.
+    It runs at N = 1 + the sum of the norm exponents of the
+    min(dimension, columns) largest columns, plus the largest norm exponent
+    of a vector.  By Hadamard's inequality a nonzero r x r minor is below
+    l^(N-1) (a column's norm bounds its part in any rows too), and the
+    product of the r nonzero elementary divisors divides every such minor,
+    so each of them has valuation below N while the zero divisors fold to N.
+    A vector outside the Q-span raises the rank: a nonzero (r+1)-minor of
+    [W | v] is made of v and r columns of W, so one more factor of
+    Z^D / ([W | v] + l^N Z^D) than of W's quotient is smaller than l^N.  A
+    vector in the Q-span but outside the l-local span lowers the total
+    valuation, which also stays below N.  Either way the two quotients
+    differ, so v is not in W + l^N Z^D, while every v in the l-local span is.
 
-    >>> span_invariants([{0: 2, 1: 1}, {1: 2}], 2, 2)
-    (2, 2)
-    >>> span_invariants([{0: 3, 1: 6}, {0: 1, 1: 2}], 2, 3)
-    (1, 0)
-    """
-    exponent = _hadamard_exponent(columns, dimension, ell)
-    vals = [v for v in divisor_valuations(columns, dimension, ell, exponent) if v < exponent]
-    return len(vals), sum(vals)
+    The unit pivots in ``rows`` are taken first (``unit_pivots``' pass), each
+    adding one to their rank.  What is left of those rows is the Schur
+    complement of their submatrix on the pivots, each of whose r'-minors is
+    a (pivots + r')-minor of that submatrix times a unit, so its nonzero
+    elementary divisors stay below N too; if any entry is left there, one
+    kernel run on it at N counts them.  A second pass eliminates the rest.
 
-
-def span_members(columns: list[dict], vectors: list[dict], dimension: int, ell: int) -> list[bool]:
-    """Whether each vector lies in the l-local span of the columns, all given
-    as for ``divisor_valuations``: one elimination of the columns carrying
-    the vectors.
-
-    It runs at N = ``span_invariants``' precision plus the largest norm
-    exponent of a vector.  A vector v outside the Q-span raises the rank: a
-    nonzero (r+1)-minor of [W | v] is made of v and r columns of W, which
-    Hadamard bounds by l^(N-1), so every nonzero elementary divisor of
-    [W | v] stays below N and one more factor of Z^D / ([W | v] + l^N Z^D)
-    than of W's quotient is smaller than l^N.  A vector in the Q-span but
-    outside the l-local span lowers the total valuation, which also stays
-    below N.  Either way the two quotients differ, so v is not in
-    W + l^N Z^D, while every v in the l-local span is.
-
-    >>> span_members([{0: 2}], [{0: 6}, {0: 1}, {1: 4}, {}], 2, 2)
+    >>> span_elimination([{0: 2, 1: 1}, {1: 2}], 2, 2)
+    ([0, 2], [], 0)
+    >>> span_elimination([{0: 3, 1: 6}, {0: 1, 1: 2}], 2, 3, [{0: 2, 1: 4}, {1: 1}], [1])
+    ([0], [True, False], 1)
+    >>> span_elimination([{0: 2}], 2, 2, [{0: 6}, {0: 1}, {1: 4}, {}])[1]
     [True, False, False, True]
     """
     exponent = _hadamard_exponent(columns, dimension, ell)
     exponent += max((_norm_exponent(v.values(), ell) for v in vectors), default=0)
-    return divisor_valuations(columns, dimension, ell, exponent, vectors)[1]
+    top = ell**exponent
+    live, holders = _live_rows(columns, top)
+    carry = _carry_rows(vectors, top)
+    rows = set(rows)
+    diag, outside = _eliminate(live, holders, carry, ell, exponent, rows) if rows else ([], set())
+    rank, kept = len(diag), rows & live.keys()
+    if kept:
+        remainder = _columns({i: live[i] for i in kept})
+        rank += sum(v < exponent for v in divisor_valuations(remainder, len(kept), ell, exponent))
+    rest, more = _eliminate(live, holders, carry, ell, exponent)
+    return diag + rest, _members(carry, outside | more, len(vectors)), rank
 
 
 def _hadamard_exponent(columns: list[dict], dimension: int, ell: int) -> int:
-    """``span_invariants``' precision N."""
+    """1 + the sum of the norm exponents of the min(dimension, columns)
+    largest columns: ``span_elimination``'s precision without vectors."""
     norms = sorted((_norm_exponent(col.values(), ell) for col in columns), reverse=True)
     return 1 + sum(norms[:dimension])

@@ -18,7 +18,9 @@ images inside E / tower_poly(l, e)·E.  ``validate_descent`` decides this
 exactly and produces a witness when it fails.
 
 Validation, the codescent defect and the level-n quotients all read one
-memoised integer matrix of E / tower_poly(l, e)·E, ``_presentation``.
+memoised reduction per (module, descent) pair, ``_reduction``: the integer
+matrix of E / tower_poly(l, e)·E and one elimination of it, which gives the
+validation report, the defect and the matrix's elementary divisors.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from collections.abc import Sequence
 
-from .linalg import span_members
+from .linalg import span_elimination
 from .polynomials import (
     IntPoly,
     Prime,
@@ -202,16 +204,21 @@ def _check_shape(module: ElementaryModule, element: ModuleElement) -> None:
 
 
 def _block_coordinates(module: ElementaryModule, generators: Sequence[ModuleElement]) -> list[int]:
-    """The coordinates with a block: each distinguished one, and each free or
-    Lambda/(l^m) one in which some generator is nonzero."""
-    return [
-        idx
-        for idx, factor in enumerate((None,) * module.free_rank + module.torsion_factors)
-        if isinstance(factor, DistinguishedFactor) or any(g.coords[idx].coeffs for g in generators)
-    ]
+    """The coordinates with a block: each distinguished one, each free one in
+    which some generator is nonzero, and each Lambda/(l^m) one in which some
+    generator is nonzero mod l^m."""
+    ell, factors = module.prime.value, (None,) * module.free_rank + module.torsion_factors
+    blocks = []
+    for idx, factor in enumerate(factors):
+        parts = (g.coords[idx].coeffs for g in generators)
+        if isinstance(factor, LPower):
+            q = ell**factor.exponent
+            parts = (any(x % q for x in part) for part in parts)
+        if isinstance(factor, DistinguishedFactor) or any(parts):
+            blocks.append(idx)
+    return blocks
 
 
-@functools.lru_cache(maxsize=16)
 def _presentation(module: ElementaryModule, descent: DescentDatum) -> tuple:
     """E / tower_poly(l, e)·E by integer blocks: (layout, relations, columns).
 
@@ -220,35 +227,45 @@ def _presentation(module: ElementaryModule, descent: DescentDatum) -> tuple:
     Lambda/(P) is Z[T]/(P) cut by omega_e = tower_poly(l, e), deg P rows by
     Weierstrass preparation; a free or Lambda/(l^m) coordinate of
     ``_block_coordinates`` is Z[T]/(omega_e) cut by l^m (free: uncut).  Each
-    generator is one column of its ``_part`` per block; without generators e
-    is 0.  Every column is a ``{row: entry}`` dict of its nonzero entries, the
-    kernel's format.  Memoised, and no caller changes a column in place.
+    generator is one column of its ``_part`` per block, reduced mod l^m in a
+    Lambda/(l^m) block, whose l^m·T^j columns absorb the rest; without
+    generators e is 0.  Every column is a ``{row: entry}`` dict of its
+    nonzero entries, the kernel's format.
     """
     gens = descent.generators if isinstance(descent, GenericDescent) else ()
     omega = tower_poly(module.prime, descent.level if gens else 0)
     ell, factors = module.prime.value, (None,) * module.free_rank + module.torsion_factors
-    layout, relations, rows = [], [], 0
+    layout, relations, rows, cuts = [], [], 0, {}
     for idx in _block_coordinates(module, gens):
         factor = factors[idx]
         modulus = factor.poly if isinstance(factor, DistinguishedFactor) else omega
         if isinstance(factor, LPower):  # cut by l^m: the columns l^m·T^j
-            relations += [{r: ell**factor.exponent} for r in range(rows, rows + modulus.degree)]
+            cuts[idx] = ell**factor.exponent
+            relations += [{r: cuts[idx]} for r in range(rows, rows + modulus.degree)]
         elif factor is not None:  # cut by omega_e; a free block is uncut
             parts = multiplication_matrix(omega.coeffs, modulus)
             relations += [{r: x for r, x in enumerate(part, rows) if x} for part in parts]
         layout.append((idx, rows, modulus))
         rows += modulus.degree
     columns = [
-        {r: x for i, at, m in layout for r, x in enumerate(_part(g.coords[i].coeffs, m), at) if x}
+        {
+            r: x
+            for i, at, m in layout
+            for r, x in enumerate(_part(g.coords[i].coeffs, m, cuts.get(i)), at)
+            if x
+        }
         for g in gens
     ]
     return tuple(layout), relations, columns
 
 
-def _part(coeffs: tuple[int, ...], modulus: IntPoly) -> Sequence[int]:
-    """coeffs mod the modulus: the coefficients themselves when there are no
-    more of them than its degree, else their ``residue``."""
-    return coeffs if len(coeffs) <= modulus.degree else residue(coeffs, modulus)
+def _part(coeffs: tuple[int, ...], modulus: IntPoly, q: int | None) -> Sequence[int]:
+    """coeffs mod the modulus, and into [0, q) if q is given: the coefficients
+    themselves when there are no more of them than its degree, else their
+    ``residue``."""
+    if len(coeffs) > modulus.degree:
+        return residue(coeffs, modulus, q)
+    return coeffs if q is None else [x % q for x in coeffs]
 
 
 def _product(column: dict[int, int], images: dict[int, tuple], q: int | None = None) -> dict:
@@ -263,49 +280,72 @@ def _product(column: dict[int, int], images: dict[int, tuple], q: int | None = N
     return {r: y for r, x in product.items() if (y := x if q is None else x % q)}
 
 
-def validate_descent(module: ElementaryModule, descent: DescentDatum) -> ValidationReport:
-    """Decide Λ-stability of the descent datum.
+# the level-e presentation, the validation report, the codescent defect and
+# the l-valuations of the presentation's nonzero elementary divisors
+_Reduction = namedtuple("_Reduction", "layout relations columns report kappa valuations")
 
-    Special data and generator-free generic data are always valid.  For each
-    generator y the image of T·y, one fold step on its column of
-    ``_presentation``, must lie in the l-local span of the generator and
-    relation columns there.  One elimination of that span decides all images
-    at once (``span_members``: it carries them, at the span's Hadamard
-    precision plus the largest image's norm exponent), and the first failing
-    T·y is the witness.  Reports are memoised on the frozen arguments behind
-    this plain function, which tracing wrappers can still replace, so the
-    quotient functions validate once per (module, descent) pair.
+
+@functools.lru_cache(maxsize=16)
+def _reduction(module: ElementaryModule, descent: DescentDatum) -> _Reduction:
+    """One elimination of the datum's ``_presentation``, memoised, after its
+    generators' shapes are checked.  Without generators nothing is
+    eliminated.
+
+    Otherwise the image of T·y, one fold step on each generator column, must
+    lie in the l-local span of the generator and relation columns.  One
+    ``span_elimination`` of that span carries all the images, and the first
+    one outside it is the witness.  It pivots the free rows first: their rank
+    over Q is the defect (``invariants.codescent_defect``).  Its valuations
+    are exact and the other rows are zero divisors, so a window without a
+    distinguished block reads every level off them (``quotients``).  No
+    caller changes a column in place.
     """
-    return _validate_descent(module, descent)
-
-
-@functools.lru_cache(maxsize=64)
-def _validate_descent(module: ElementaryModule, descent: DescentDatum) -> ValidationReport:
-    if isinstance(descent, SpecialDescent):
-        return ValidationReport(True, detail="special descent carries no generators")
-    gens = descent.generators
+    gens = descent.generators if isinstance(descent, GenericDescent) else ()
     for gen in gens:
         _check_shape(module, gen)
-    if not gens:
-        return ValidationReport(True, detail="no generators: trivial case")
     layout, relations, columns = _presentation(module, descent)
+    if not gens:
+        if isinstance(descent, SpecialDescent):
+            report = ValidationReport(True, detail="special descent carries no generators")
+        else:
+            report = ValidationReport(True, detail="no generators: trivial case")
+        return _Reduction(layout, relations, columns, report, 0, [])
     # T·e_r = e_(r+1) inside a block; at its top row T^deg folds back by the modulus
     shift = {r: (r + 1, (1,)) for r in range(sum(m.degree for _, _, m in layout))}
     shift.update((i + m.degree - 1, (i, [-b for b in m.coeffs[:-1]])) for _, i, m in layout)
     images = [_product(col, shift) for col in columns]
-    members = span_members(columns + relations, images, len(shift), module.prime.value)
-    if all(members):
-        return ValidationReport(True, detail=f"{len(gens)} generators stable")
-    idx = members.index(False)
-    return ValidationReport(
-        False,
-        failing_generator=idx,
-        witness=canonicalize(module, gens[idx].times_t()),
-        detail=(
-            f"T * generator {idx} is not an l-local combination of the "
-            f"generators at level {descent.level}"
-        ),
+    free = sum(m.degree for idx, _, m in layout if idx < module.free_rank)  # free blocks first
+    valuations, members, kappa = span_elimination(
+        columns + relations, len(shift), module.prime.value, images, range(free)
     )
+    if all(members):
+        report = ValidationReport(True, detail=f"{len(gens)} generators stable")
+    else:
+        idx = members.index(False)
+        report = ValidationReport(
+            False,
+            failing_generator=idx,
+            witness=canonicalize(module, gens[idx].times_t()),
+            detail=(
+                f"T * generator {idx} is not an l-local combination of the "
+                f"generators at level {descent.level}"
+            ),
+        )
+    return _Reduction(layout, relations, columns, report, kappa, valuations)
+
+
+def validate_descent(module: ElementaryModule, descent: DescentDatum) -> ValidationReport:
+    """Decide Λ-stability of the descent datum.
+
+    Special data and generator-free generic data are always valid.  For each
+    generator y the image of T·y must lie in the l-local span of the
+    generator and relation columns of the level-e presentation; the first
+    failing T·y is the witness.  The report is read off the datum's memoised
+    reduction (``_reduction``) behind this plain function, which tracing
+    wrappers can still replace, so a (module, descent) pair is eliminated
+    once for validation, the defect and the quotients.
+    """
+    return _reduction(module, descent).report
 
 
 def require_valid(module: ElementaryModule, descent: DescentDatum) -> None:

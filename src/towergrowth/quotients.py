@@ -7,9 +7,10 @@ At level n with exponent shift k the quotient is
 where omega_n = tower_poly(l, n), nu = nu_{n,e} = omega_n / omega_e and Y is
 the span of the descent generators (generic case; the special case instead
 adds one full Z/l^N summand on top of the generator-free quotient).  The
-level-e matrix of ``modules._presentation`` (level 0 without generators),
-relation columns then one column per generator, is built once per datum,
-and level n is one product with it; no block grows with n:
+level-e matrix of the datum's memoised reduction (``modules._reduction``;
+level 0 without generators), relation columns then one column per
+generator, is built once per datum, and level n is one product with it; no
+block grows with n:
 
 * the rows of a distinguished block Z[T]/(P) are multiplied by
   M(nu mod (P, l^N)), the ``multiplication_matrix`` of ``tower_residue_steps``:
@@ -31,9 +32,10 @@ row of a free or l-power block, and a Schur complement on a unit pivot in
 such a row commutes with it, so ``linalg.unit_pivots`` clears those pivots
 once, at the window's top precision l^(n_max + k), where they are exact mod
 every lower power too.  Each level then lifts and reduces only what is left,
-with nu carried from level to level by ``tower_residue_steps``; without a
-distinguished block nothing changes between levels but N, and the window is
-one kernel call.
+with nu carried from level to level by ``tower_residue_steps``.  Without a
+distinguished block nothing changes between levels but N, and every level
+reads the valuations of validation's one elimination of that matrix, so the
+window makes no kernel call.
 
 ``check_window`` makes every refusal that reads no descent, in this order:
 an empty window, n_min < 0, n_min + k < 1, then one cap on the full ambient
@@ -66,8 +68,8 @@ from .modules import (
     LPower,
     SpecialDescent,
     _block_coordinates,
-    _presentation,
     _product,
+    _reduction,
     require_valid,
 )
 from .polynomials import (
@@ -206,10 +208,13 @@ def _quotients(
 
     Level n is the level-e matrix A times L_n = diag(I, M(nu_{n,e})), which
     fixes the rows of every free and l-power block, mod l^N with N = n + k.
-    One elimination serves the window, at its top precision l^(n_max + k):
+    One elimination serves the window, whose top precision is l^(n_max + k):
 
-    * without a distinguished block L_n = I, so the window is one kernel
-      call, and level n's valuations are its min(v, N);
+    * without a distinguished block L_n = I, and validation's elimination
+      of A (``modules._reduction``) already gave the valuations v of its
+      nonzero elementary divisors, exactly; its other rows are zero
+      divisors.  Level n reads min(v, N) off them and N for each zero
+      divisor, with no kernel call;
     * otherwise ``unit_pivots`` clears every unit pivot in a fixed row, once
       for a window of two or more levels.  With A = [[a, r], [c, B]] on a
       unit a in a fixed row, L_n A keeps the row (a, r) and has L'c and L'B
@@ -223,16 +228,17 @@ def _quotients(
     """
     require_valid(module, descent)
     e = descent.level if isinstance(descent, GenericDescent) and descent.generators else 0
-    layout, relations, generators = _presentation(module, descent)
+    reduction = _reduction(module, descent)
+    layout = reduction.layout
     ell = module.prime.value
     factors = (None,) * module.free_rank + module.torsion_factors
     rows = {idx: modulus.degree for idx, _, modulus in layout}
     # (first row, P) of each distinguished block
     lifts = [(i, m) for idx, i, m in layout if isinstance(factors[idx], DistinguishedFactor)]
-    top = n_max + k
-    columns = [*relations, *generators]
     dimension = sum(rows.values())
     if lifts:
+        top = n_max + k
+        columns = [*reduction.relations, *reduction.columns]
         if n_max > n_min:  # one level's kernel clears these pivots itself
             fixed = [
                 r
@@ -255,7 +261,9 @@ def _quotients(
             for start, m in lifts
         ]
     else:
-        valuations = divisor_valuations(columns, dimension, ell, top)
+        # the nonzero elementary divisors of A; its other rows are zero divisors
+        valuations = reduction.valuations
+        zeros = dimension - len(valuations)
     for n in range(n_min, n_max + 1):
         exponent = n + k
         counts: Counter[int] = Counter()
@@ -277,6 +285,7 @@ def _quotients(
             counts.update(divisor_valuations(lifted, dimension, ell, exponent))
         else:
             counts.update(min(v, exponent) for v in valuations)
+            counts[exponent] += zeros
         if isinstance(descent, SpecialDescent):
             counts[exponent] += 1
         del counts[0]  # unit divisors

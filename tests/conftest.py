@@ -36,7 +36,7 @@ from towergrowth import (
     quotients,
     tower_poly,
 )
-from towergrowth.linalg import divisor_valuations, ell_valuation, span_invariants
+from towergrowth.linalg import _hadamard_exponent, divisor_valuations, ell_valuation
 from towergrowth.polynomials import ONE, ZERO
 
 CORPUS_SEED = 20260819
@@ -51,12 +51,23 @@ def sparse_columns(rows: list[list[int]]) -> tuple[list[dict[int, int]], int]:
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(width)], len(rows)
 
 
+def span_invariants(columns: list[dict], dimension: int, ell: int) -> tuple[int, int]:
+    """Rank and total l-valuation of the Smith form of the matrix with these
+    columns: one kernel run at the Hadamard exponent, whose folded valuations
+    below it are the nonzero elementary divisors.  The one-pass route that
+    ``linalg.span_elimination`` (two passes, free rows first) is checked
+    against."""
+    exponent = _hadamard_exponent(columns, dimension, ell)
+    vals = [v for v in divisor_valuations(columns, dimension, ell, exponent) if v < exponent]
+    return len(vals), sum(vals)
+
+
 def in_local_span(columns: list[list[int]], target: list[int], ell: int) -> bool:
     """Whether target = W x is solvable with denominators prime to l.
 
     columns are the generators W (each a vector); membership is decided by
     comparing the span invariants of W and [W | target].  This is the
-    one-vector-at-a-time definition that ``span_members`` and validation are
+    one-vector-at-a-time definition that ``span_elimination`` and validation are
     checked against.
     """
     sparse = [{i: x for i, x in enumerate(col) if x} for col in [*columns, target]]
@@ -299,33 +310,38 @@ def generic_corpus() -> list[CorpusCase]:
 
 
 @pytest.fixture
-def kernel_shapes(monkeypatch) -> list[tuple[int, int]]:
-    """(dimension, columns) of every matrix the quotient path hands to the
-    elimination kernel, in call order."""
-    shapes: list[tuple[int, int]] = []
-    kernel = quotients.divisor_valuations
+def eliminations(monkeypatch) -> list[tuple[str, int, int, int]]:
+    """Every elimination, in call order: validation's ``span_elimination``
+    (and the kernel run it makes on a free-row remainder), the quotients'
+    ``unit_pivots`` and ``divisor_valuations``.  Each is (function,
+    dimension, columns, carried vectors); for ``unit_pivots`` the dimension
+    is the number of rows it may pivot in.  The per-datum reduction is
+    memoised, so the memo is cleared first and every validation runs its
+    elimination."""
+    calls: list[tuple[str, int, int, int]] = []
 
-    def recording(columns, dimension, *args):
-        shapes.append((dimension, len(columns)))
-        return kernel(columns, dimension, *args)
+    def recording(name, f, shape):
+        def wrapper(*args):
+            calls.append((name, *shape(*args)))
+            return f(*args)
 
-    monkeypatch.setattr(quotients, "divisor_valuations", recording)
-    return shapes
+        return wrapper
 
+    def kernel_shape(columns, dimension, ell, exponent, carried=None):
+        return dimension, len(columns), len(carried or ())
 
-@pytest.fixture
-def span_shapes(monkeypatch) -> list[tuple[int, int, int]]:
-    """(dimension, columns, carried vectors) of every matrix ``span_invariants``
-    and ``span_members`` hand to the elimination kernel, in call order.
-    Validation reports are memoised, so the memo is cleared first and every
-    validation runs its elimination."""
-    shapes: list[tuple[int, int, int]] = []
-    kernel = linalg.divisor_valuations
+    def span_shape(columns, dimension, ell, vectors=(), rows=()):
+        return dimension, len(columns), len(vectors)
 
-    def recording(columns, dimension, ell, exponent, carried=None):
-        shapes.append((dimension, len(columns), len(carried or ())))
-        return kernel(columns, dimension, ell, exponent, carried)
+    def pivots_shape(columns, rows, ell, exponent):
+        return len(rows), len(columns), 0
 
-    monkeypatch.setattr(linalg, "divisor_valuations", recording)
-    modules._validate_descent.cache_clear()
-    return shapes
+    for module, name, shape in (
+        (modules, "span_elimination", span_shape),
+        (linalg, "divisor_valuations", kernel_shape),
+        (quotients, "divisor_valuations", kernel_shape),
+        (quotients, "unit_pivots", pivots_shape),
+    ):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name), shape))
+    modules._reduction.cache_clear()
+    return calls

@@ -382,7 +382,9 @@ class TestExitCodes:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["fit", "verify"])
-    def test_short_window_is_refused_before_validation(self, tmp_path, monkeypatch, command):
+    def test_short_window_is_refused_before_validation(
+        self, tmp_path, monkeypatch, eliminations, command
+    ):
         calls = []
         validate = modules.validate_descent
         monkeypatch.setattr(
@@ -393,12 +395,15 @@ class TestExitCodes:
         code, out, err = run(command, str(f))
         assert (code, out) == (2, "")
         assert err == "error: fitting needs at least four consecutive entries\n"
-        assert calls == []
+        assert (calls, eliminations) == ([], [])
         # the cap is still checked first; the run's own window 1..5 is fitted
         assert run(command, str(f), "--cap", "4")[0] == 3
-        assert calls == []
+        assert (calls, eliminations) == ([], [])
+        # the same datum, validated once: its elimination comes first
         assert run(command, MIXED)[0] == 0
         assert calls
+        assert [name for name, *_ in eliminations].count("span_elimination") == 1
+        assert eliminations[0][0] == "span_elimination"
 
     @pytest.mark.parametrize("command", ["orders", "fit", "verify", "scenario"])
     def test_window_is_checked_once(self, tmp_path, monkeypatch, command):

@@ -7,6 +7,7 @@ frozen value below was computed by evaluating generators at the roots of c
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,12 +25,14 @@ from towergrowth import (
     codescent_defect,
     defect_bound,
     fit_parameters,
+    modules,
     order_sequence,
     predict_parameters,
     structural_invariants,
+    validate_descent,
 )
 
-from conftest import build_generic_case
+from conftest import build_generic_case, span_invariants
 
 LAMBDA = ElementaryModule(prime=2, free_rank=1)
 
@@ -119,6 +122,56 @@ class TestCodescentDefect:
         assert 0 <= kappa <= defect_bound(case.module, case.descent)
         if case.expected_defect is not None:
             assert kappa == case.expected_defect
+
+    def test_defect_is_the_one_pass_rank_of_the_free_rows(self, generic_corpus, eliminations):
+        # the defect that validation's elimination counts (unit pivots of the
+        # free rows first, then the rank of what they leave) against one
+        # kernel run on the free rows alone, the route it replaced; the
+        # corpus, then l = 3 and l = 5 draws
+        draws = [(case, 2) for case in generic_corpus]
+        sources = [(7003, 3), (7005, 5)]
+        sources += [(seed, ell) for seed in (902, 903, 905, 11, 12) for ell in (3, 5)]
+        for seed, ell in sources:
+            rng = random.Random(seed)
+            draws += [(build_generic_case(rng, ell), ell) for _ in range(200)]
+        remainders = {2: 0, 3: 0, 5: 0}
+        for case, ell in draws:
+            module, descent = case.module, case.descent
+            if not descent.generators:
+                continue
+            modules._reduction.cache_clear()
+            eliminations.clear()
+            kappa = codescent_defect(module, descent)
+            layout, _, columns = modules._presentation(module, descent)
+            stop = sum(m.degree for idx, _, m in layout if idx < module.free_rank)
+            free = [{r: x for r, x in col.items() if r < stop} for col in columns]
+            assert kappa == span_invariants(free, stop, ell)[0]
+            # one elimination, and a kernel run only on a non-unit remainder
+            assert eliminations[0][0] == "span_elimination"
+            assert [name for name, *_ in eliminations[1:]] in ([], ["divisor_valuations"])
+            remainders[ell] += len(eliminations) - 1
+        # the remainder branch is rare but reached at every prime
+        assert all(remainders.values()), remainders
+
+    @pytest.mark.parametrize(
+        "free,torsion,shape",
+        [
+            ((), (IntPoly((1,)),), "0+1"),
+            ((IntPoly((1,)),), (), "1+0"),
+            ((IntPoly((0, 1)), IntPoly((0, 1))), (IntPoly((0, 1)),), "2+1"),
+        ],
+        ids=["0+1", "1+0", "2+1"],
+    )
+    def test_generator_shape_is_checked(self, free, torsion, shape):
+        # the defect and the prediction refuse a wrong shape as validation
+        # does (1+0 raised IndexError and 2+1 gave a defect of 1)
+        module = ElementaryModule(prime=2, free_rank=1, torsion_factors=(LPower(1),))
+        descent = GenericDescent(1, (ModuleElement(free, torsion),))
+        message = re.escape(f"element has {shape} coordinates, module needs 1+1")
+        for call in (codescent_defect, predict_parameters, validate_descent):
+            modules._reduction.cache_clear()
+            with pytest.raises(ValueError, match=message):
+                call(module, descent)
 
     def test_defect_matches_asymptotic_drop(self):
         # independent check through the growth-fitting path: a rank-one

@@ -1,4 +1,4 @@
-"""The elimination kernel modulo l^N and the span invariants built on it.
+"""The elimination kernel modulo l^N and the span elimination built on it.
 
 Both are cross-checked against determinantal divisors computed here from
 their definition: D_i is the gcd of the i x i minors, the rank r is the
@@ -26,8 +26,7 @@ from towergrowth.linalg import (
     ceil_log,
     divisor_valuations,
     ell_valuation,
-    span_invariants,
-    span_members,
+    span_elimination,
     unit_pivots,
 )
 
@@ -37,6 +36,17 @@ from conftest import (
     in_local_span,
     sparse_columns,
 )
+
+
+def span_invariants(columns, dimension, ell):
+    """Rank and total l-valuation of the Smith form, from ``span_elimination``."""
+    vals = span_elimination(columns, dimension, ell)[0]
+    return len(vals), sum(vals)
+
+
+def span_members(columns, vectors, dimension, ell):
+    """Whether each vector lies in the l-local span, from ``span_elimination``."""
+    return span_elimination(columns, dimension, ell, vectors)[1]
 
 
 class TestEllValuation:
@@ -450,6 +460,7 @@ class TestSpanMembers:
         columns, carried = [_dict(c) for c in W], [_dict(v) for v in vectors]
         snapshot = copy.deepcopy((columns, carried))
         got = span_members(columns, carried, dimension, ell)
+        # in_local_span compares one-pass kernel runs at the Hadamard exponent
         assert got == [in_local_span(W, v, ell) for v in vectors]
         own = span_invariants(columns, dimension, ell)
         assert got == [span_invariants([*columns, v], dimension, ell) == own for v in carried]
@@ -518,6 +529,44 @@ class TestSpanMembers:
         got = divisor_valuations([{0: 2 - 8 * 9}], 2, 2, 3, carried)
         assert got == ([1, 3], [True, True, False, False, True])
         assert span_members([{0: 2 - 8 * 9}], [{0: -(2**200)}, {0: 2**200 + 1}], 1, 2) == [True, False]
+
+
+class TestRowsFirst:
+    """``span_elimination``'s first pass on chosen rows: it changes neither
+    the valuations nor the memberships, and it counts the rank over Q of
+    those rows' submatrix, against its determinantal divisors."""
+
+    @seed(20261024)
+    @given(case=_membership_cases(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_of_the_rows_and_nothing_else_changes(self, case, data):
+        W, vectors, dimension, ell = case
+        columns, carried = [_dict(c) for c in W], [_dict(v) for v in vectors]
+        snapshot = copy.deepcopy((columns, carried))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        rows = sorted(i for i in range(dimension) if rng.random() < 0.6)
+        vals, members, rank = span_elimination(columns, dimension, ell, carried, rows)
+        assert (vals, members, 0) == span_elimination(columns, dimension, ell, carried)
+        assert vals == sorted(vals)
+        assert rank == len(_determinantal_divisors([[c[i] for i in rows] for c in W]))
+        assert (columns, carried) == snapshot
+
+    @pytest.mark.parametrize(
+        "rows,chosen,rank",
+        [
+            # no unit in the chosen row: its remainder is ranked by one kernel run
+            ([[2, 4], [1, 0]], [0], 1),
+            # one unit pivot, then a remainder [[2, 2], [2, 2]] of rank 1
+            ([[1, 0, 0], [0, 2, 2], [0, 2, 2]], [0, 1, 2], 2),
+            # the pivot on row 0 leaves (5 - 1) = 4 in row 1, no unit
+            ([[1, 1], [1, 5]], [0, 1], 2),
+            ([[2, 2], [2, 2]], [0, 1], 1),
+            ([[0, 0], [3, 0]], [0], 0),
+        ],
+    )
+    def test_hand_cases(self, rows, chosen, rank):
+        columns, dimension = sparse_columns(rows)
+        assert span_elimination(columns, dimension, 2, (), chosen)[2] == rank
 
 
 def test_import_leaves_numpy_out():

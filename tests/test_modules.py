@@ -7,7 +7,6 @@ restates that definition in the monomial basis, l^e rows per coordinate,
 apart from the engine's per-coordinate blocks.
 """
 
-import copy
 import random
 
 import pytest
@@ -238,7 +237,7 @@ class TestValidation:
         d = GenericDescent(1, tuple(_pair_gen(a, b) for a, b in gens))
         assert validate_descent(RANK_TWO, d).valid
 
-    def test_presentation_rows(self, span_shapes):
+    def test_presentation_rows(self, eliminations):
         # Lambda + Lambda/(2) + Lambda/(T^2+2) at l=2, e=3, the free
         # coordinate spanned: 8 rows for the touched free coordinate, 2 for
         # the distinguished one, none for the untouched Lambda/(2)
@@ -252,20 +251,23 @@ class TestValidation:
         )
         descent = GenericDescent(3, gens)
         # one elimination: the 8 generators and 2 relation columns, carrying
-        # the 8 images T·y
+        # the 8 images T·y; its first pass takes the 8 unit pivots of the
+        # free rows, so the defect runs none of its own
         assert validate_descent(module, descent).valid
-        assert span_shapes == [(10, 10, 8)]
+        assert eliminations == [("span_elimination", 10, 10, 8)]
         assert codescent_defect(module, descent) == 8
-        assert span_shapes[1:] == [(8, 8, 0)]
+        assert eliminations == [("span_elimination", 10, 10, 8)]
 
-    def test_failing_generator_last_of_many(self, span_shapes):
+    def test_failing_generator_last_of_many(self, eliminations):
         # 16 stable generators T^j in the first coordinate at l=2, e=4, then
         # (0, 1), whose T·y = (0, T) is outside: one elimination of the 32
-        # rows and 17 generator columns, carrying the 17 images, finds it
+        # rows and 17 generator columns, carrying the 17 images, finds it,
+        # and the defect of the (invalid) datum, 17, is read off it
         gens = tuple(_pair_gen((0,) * j + (1,), ()) for j in range(16)) + (_pair_gen((), (1,)),)
         descent = GenericDescent(4, gens)
         report = validate_descent(RANK_TWO, descent)
-        assert span_shapes == [(32, 17, 17)]
+        assert codescent_defect(RANK_TWO, descent) == 17
+        assert eliminations == [("span_elimination", 32, 17, 17)]
         assert report.failing_generator == 16
         assert report.witness == ModuleElement((ZERO, T), ())
         assert _assert_report_matches_definition(RANK_TWO, descent) == report
@@ -273,26 +275,26 @@ class TestValidation:
     def test_presentation_stores_only_nonzero_entries(self, generic_corpus):
         # prop14 at e = 6: each generator T^j is one entry of the free block
         scenario = builtin_scenario("prop14:e=6")
-        _, relations, columns = modules._presentation(scenario.module, scenario.descent)
-        assert relations == []
-        assert sum(map(len, columns)) == 2**6
+        reduction = modules._reduction(scenario.module, scenario.descent)
+        assert reduction.relations == []
+        assert sum(map(len, reduction.columns)) == 2**6
         for case in generic_corpus[:40]:
-            _, relations, columns = modules._presentation(case.module, case.descent)
-            assert all(x for col in [*relations, *columns] for x in col.values())
+            reduction = modules._reduction(case.module, case.descent)
+            assert all(x for col in [*reduction.relations, *reduction.columns] for x in col.values())
 
     def test_presentation_unchanged_by_its_callers(self, generic_corpus):
-        # validation, the defect and the quotients share the memoised matrix
-        # and hand it to the elimination kernel; none may change it in place
+        # validation's elimination, the defect and the quotients share the
+        # memoised matrix and hand it to the elimination kernel; none may
+        # change it in place, so it stays the presentation as built
         for case in generic_corpus[:40]:
             module, descent = case.module, case.descent
-            built = modules._presentation(module, descent)
-            snapshot = copy.deepcopy(built)
-            modules._validate_descent.cache_clear()
+            modules._reduction.cache_clear()
+            built = modules._reduction(module, descent)
             if validate_descent(module, descent).valid:
                 codescent_defect(module, descent)
                 order_sequence(module, descent, descent.level + 1, descent.level + 2)
-            assert modules._presentation(module, descent) is built
-            assert built == snapshot
+            assert modules._reduction(module, descent) is built
+            assert built[:3] == modules._presentation(module, descent)
 
     def test_shape_mismatch_raises(self):
         bad = ModuleElement(free_coords=(T, T), torsion_coords=())
@@ -394,3 +396,51 @@ class TestValidityProperties:
         changed = GenericDescent(des.level, (padded,) + des.generators[1:])
         assert validate_descent(mod, changed).valid
         assert codescent_defect(mod, changed) == codescent_defect(mod, des)
+
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_l_power_padding_leaves_the_reduction_unchanged(self, ell):
+        # each generator's Lambda/(l^m) coordinate moved by l^m times a random
+        # polynomial: the presentation reduces it mod l^m and gives no block
+        # to a coordinate that only padding touches, so its generator columns,
+        # the report (witness included), the defect and the orders are the
+        # same; each datum is also taken with its first generator dropped
+        rng = random.Random(6100 + ell)
+        padded_cases = changed = 0
+        while padded_cases < 25:
+            case = build_generic_case(rng, ell)
+            module, gens = case.module, case.descent.generators
+            if not gens or not any(isinstance(f, LPower) for f in module.torsion_factors):
+                continue
+            padded_cases += 1
+            cuts = [
+                ell**f.exponent if isinstance(f, LPower) else 0 for f in module.torsion_factors
+            ]
+
+            def pad(g):
+                noise = [
+                    IntPoly(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))))
+                    for _ in cuts
+                ]
+                return ModuleElement(
+                    g.free_coords,
+                    tuple(c + x * q for c, x, q in zip(g.torsion_coords, noise, cuts)),
+                )
+
+            e = case.descent.level
+            for kept in (gens, gens[1:]):
+                if not kept:
+                    continue
+                plain = GenericDescent(e, kept)
+                moved = GenericDescent(e, tuple(pad(g) for g in kept))
+                changed += moved != plain
+                ours, theirs = (modules._reduction(module, d) for d in (plain, moved))
+                assert (theirs.layout, theirs.columns) == (ours.layout, ours.columns)
+                assert theirs.report == ours.report
+                assert codescent_defect(module, moved) == codescent_defect(module, plain)
+                if ours.report.valid:
+                    for k in (-1, 0, 2):
+                        n_min = max(e + 1, 1 - k)
+                        window = (n_min, n_min + 1, k)
+                        expected = order_sequence(module, plain, *window, dimension_cap=10**6)
+                        assert order_sequence(module, moved, *window, dimension_cap=10**6) == expected
+        assert changed >= 25

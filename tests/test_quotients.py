@@ -186,28 +186,30 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             order_valuation(LAMBDA, TRIVIAL, 200, dimension_cap=4)
 
-    def test_sequence_cap_checked_before_any_level(self, kernel_shapes):
+    def test_sequence_cap_checked_before_any_level(self, eliminations):
         # levels 1..5 fit under the cap and level 6 does not: nothing may be
-        # computed for a window that cannot finish
+        # computed for a window that cannot finish, validation included
         module = _mod(LPower(1), free_rank=1)
-        # a generator keeps the free coordinate in the kernel at every level;
-        # untouched coordinates split off in closed form without a kernel call
+        # a generator keeps the free coordinate in the reduction; untouched
+        # coordinates split off in closed form
         touched = GenericDescent(0, (ModuleElement((IntPoly((1,)),), (IntPoly(),)),))
         with pytest.raises(CapExceeded, match="at level n=6"):
             order_sequence(module, touched, 1, 6, dimension_cap=64)
         with pytest.raises(CapExceeded, match="at level n=6"):
             order_sequence(module, touched, 1, 10**12, dimension_cap=64)
-        assert kernel_shapes == []
+        assert eliminations == []
         order_sequence(module, touched, 1, 5, dimension_cap=64)
-        assert kernel_shapes
+        # the free row, one generator carrying its image, and no distinguished
+        # block: validation's elimination serves every level
+        assert eliminations == [("span_elimination", 1, 1, 1)]
 
-    def test_precision_checked_before_any_level(self, kernel_shapes):
+    def test_precision_checked_before_any_level(self, eliminations):
         # levels 1..6 are within the cap; n + k first passes it at n = 7
         with pytest.raises(CapExceeded, match=r"precision N=4097 exceeds the cap 4096 at level n=7"):
             order_sequence(LAMBDA, TRIVIAL, 1, 10, k=4090)
         with pytest.raises(CapExceeded, match=r"precision N=65 exceeds the cap 64 at level n=3"):
             quotient_group(LAMBDA, TRIVIAL, 3, k=62, dimension_cap=64)
-        assert kernel_shapes == []
+        assert eliminations == []
         assert order_valuation(LAMBDA, TRIVIAL, 2, k=62, dimension_cap=64) == 4 * 64
 
     def test_caps_checked_before_validation(self, monkeypatch):
@@ -227,15 +229,9 @@ class TestCaps:
             quotient_group(LAMBDA, zero, 13)
         assert calls == []
 
-    def test_validation_runs_once_per_datum(self, monkeypatch):
-        # an equal datum built separately reuses the memoised report
-        calls = []
-        members = modules.span_members
-        monkeypatch.setattr(
-            modules, "span_members", lambda *args: calls.append(args) or members(*args)
-        )
-        modules._validate_descent.cache_clear()
-
+    def test_validation_runs_once_per_datum(self, eliminations):
+        # an equal datum built separately reuses the memoised reduction: its
+        # one elimination validates, gives the defect and serves every level
         def datum():
             gens = tuple(
                 ModuleElement((IntPoly((0,) * j + (1,)),), (IntPoly(),)) for j in (1, 2, 3)
@@ -243,11 +239,12 @@ class TestCaps:
             return _mod(LPower(1), free_rank=1), GenericDescent(2, gens)
 
         first = order_valuation(*datum(), 4)
-        assert len(calls) == 1
-        calls.clear()
+        assert eliminations == [("span_elimination", 4, 3, 3)]
         assert order_valuation(*datum(), 4) == first
         assert quotient_group(*datum(), 3).order_valuation
-        assert calls == []
+        assert codescent_defect(*datum()) == 3
+        assert modules.validate_descent(*datum()).valid
+        assert eliminations == [("span_elimination", 4, 3, 3)]
 
     def test_enumeration_element_cap(self):
         with pytest.raises(CapExceeded):
@@ -261,8 +258,10 @@ class TestCaps:
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("command", ["verify", "fit", "invariants", "scenario"])
-    def test_presentation_built_once_per_command(self, tmp_path, command):
-        # validation, the defect and the quotients all read one memoised build
+    def test_presentation_built_once_per_command(self, tmp_path, eliminations, command):
+        # validation, the defect and the quotients all read one memoised
+        # reduction: one span elimination per command, and for `invariants`,
+        # which has no window, nothing else
         run = tmp_path / "level_one.run"
         run.write_text(
             "[prime]\nl = 2\n[module]\nfree_rank = 1\npoly = [2, 1]\n"
@@ -270,13 +269,16 @@ class TestCaps:
             "generator = [[0, 1], [0]]\n[run]\nn_min = 2\nn_max = 5\nk = 0\n",
             encoding="utf-8",
         )
-        modules._validate_descent.cache_clear()
-        modules._presentation.cache_clear()
         out, err = io.StringIO(), io.StringIO()
         target = "prop14:e=3" if command == "scenario" else str(run)
         code = run_command([command, target], out, err)
         assert code in (0, 1), err.getvalue()
-        assert modules._presentation.cache_info().misses == 1
+        info = modules._reduction.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        spans = [shape for shape in eliminations if shape[0] == "span_elimination"]
+        assert len(spans) == 1
+        if command == "invariants":
+            assert eliminations == spans
 
     def test_levels_run_no_intpoly_arithmetic(self, monkeypatch):
         # the level-e matrix is reduced by the companion fold and each level is
@@ -294,8 +296,7 @@ class TestCaps:
                 IntPoly, attr, lambda *args, f=original: calls.append(f) or f(*args)
             )
         for module, descent in [(run.module, run.descent), *cases]:
-            modules._validate_descent.cache_clear()
-            modules._presentation.cache_clear()
+            modules._reduction.cache_clear()
             assert modules.validate_descent(module, descent).valid
             codescent_defect(module, descent)
             n_min = descent.level + 1
@@ -333,8 +334,7 @@ class TestDivisionOfLabour:
         for name in self.ARITHMETIC:
             monkeypatch.setattr(IntPoly, name, forbidden)
         for memo in (
-            modules._validate_descent,
-            modules._presentation,
+            modules._reduction,
             polynomials._tower_poly_cached,
             polynomials._tower_ratio_cached,
         ):
@@ -618,20 +618,24 @@ class TestLevelIndependentKernel:
 
     UNCAPPED = 10**100
 
-    def test_mixed_run_kernel_sees_the_remainder_at_every_level(self, kernel_shapes):
+    def test_mixed_run_kernel_sees_the_remainder_at_every_level(self, eliminations):
         # free, Lambda/(4) and Lambda/(T + 2), all touched at e = 0: 1 + 1 + 1
-        # rows, and the generator's 1 in the free row is a unit pivot, cleared
-        # once for the window; the Lambda/(4) row (entry 4) and the
-        # distinguished row are left
+        # rows.  Validation eliminates them once (one generator and the
+        # Lambda/(4) and Lambda/(T + 2) relations); the generator's 1 in the
+        # free row is a unit pivot, cleared once for the window; the
+        # Lambda/(4) row (entry 4) and the distinguished row are left
         run = parse_run((GOLDEN / "mixed.run").read_text(encoding="utf-8"))
         order_sequence(run.module, run.descent, 1, 10, dimension_cap=self.UNCAPPED)
-        assert [rows for rows, _ in kernel_shapes] == [2] * 10
+        assert eliminations[:2] == [("span_elimination", 3, 3, 1), ("unit_pivots", 2, 3, 0)]
+        assert [shape[:2] for shape in eliminations[2:]] == [("divisor_valuations", 2)] * 10
 
-    def test_prop14_window_is_one_kernel_call(self, kernel_shapes):
-        # one free block of l^e rows and l^e generator columns, no distinguished block
+    def test_prop14_window_is_one_kernel_call(self, eliminations):
+        # one free block of l^e rows and l^e generator columns, no
+        # distinguished block: validation's one elimination, carrying the
+        # l^e images T·y, gives every level, and the window makes no call
         scenario = builtin_scenario("prop14:e=2")
         order_sequence(scenario.module, scenario.descent, 3, 11, dimension_cap=self.UNCAPPED)
-        assert kernel_shapes == [(2**2, 2**2)]
+        assert eliminations == [("span_elimination", 2**2, 2**2, 2**2)]
 
     @pytest.mark.parametrize("n", [9, 10, 100, 200])
     def test_mixed_run_closed_form_at_high_levels(self, n):
