@@ -20,8 +20,8 @@ nondecreasing valuations; any pivot of minimal valuation gives the same
 multiset.  Entries and multipliers are kept in (-q, q) and reduced only
 when they leave it, so a -1 stays -1 while nothing grows past q.
 
-Vectors may ride along as carried columns: each row operation is applied to
-them too, but they are never pivoted and never divided by l.  A carried v
+In ``span_elimination`` vectors ride along as carried columns: each row
+operation is applied to them too, but they are never pivoted and never divided by l.  A carried v
 lies in W + l^N Z^D exactly when its entry at every pivot row found at shift
 s is divisible by l^s, since that column of the pivot clears it without
 touching another live row, and its entry at every row left unpivoted is 0
@@ -57,9 +57,7 @@ def ell_valuation(x: int, ell: int) -> int:
     return v
 
 
-def divisor_valuations(
-    columns: list[dict], dimension: int, ell: int, exponent: int, carried: list[dict] | None = None
-) -> list[int] | tuple[list[int], list[bool]]:
+def divisor_valuations(columns: list[dict], dimension: int, ell: int, exponent: int) -> list[int]:
     """Valuations of the cyclic factors of Z^D / (columns + l^N Z^D), D = dimension.
 
     ``columns`` is the relation matrix, one ``{row: entry}`` dict per relation
@@ -67,9 +65,7 @@ def divisor_valuations(
     Returns one value in [0, exponent] per ambient coordinate: min(v_l(d), N)
     for a pivoted row with diagonal d, in nondecreasing order, then N for each
     row the relations never reach.  Zero entries (unit divisors) are kept; the
-    caller drops them when building a group.  Given ``carried`` vectors in the
-    same format (also left unchanged), it returns the valuations and, per
-    vector, whether it lies in columns + l^N Z^D.
+    caller drops them when building a group.
 
     >>> divisor_valuations([{0: 2}, {1: 12}], 3, 2, 5)
     [1, 2, 5]
@@ -78,22 +74,12 @@ def divisor_valuations(
 
     >>> divisor_valuations([{0: 2, 1: 6}, {0: 4, 1: 8}], 2, 2, 5)
     [1, 2]
-
-    Carried along, (6, 18) lies in their span mod 2^5 and (1, 3) does not:
-
-    >>> divisor_valuations([{0: 2, 1: 6}, {0: 4, 1: 8}], 2, 2, 5, [{0: 6, 1: 18}, {0: 1, 1: 3}])
-    ([1, 2], [True, False])
     """
     if exponent < 1:
         raise ValueError("exponent must be at least 1")
-    top = ell**exponent
-    live, holders = _live_rows(columns, top)
-    carry = _carry_rows(carried or (), top)
-    diag, outside = _eliminate(live, holders, carry, ell, exponent)
-    valuations = diag + [exponent] * (dimension - len(diag))
-    if carried is None:
-        return valuations
-    return valuations, _members(carry, outside, len(carried))
+    live, holders = _live_rows(columns, ell**exponent)
+    diag, _ = _eliminate(live, holders, {}, ell, exponent)
+    return diag + [exponent] * (dimension - len(diag))
 
 
 def unit_pivots(
@@ -141,26 +127,6 @@ def _columns(rows: dict) -> list[dict]:
         for j, x in entries.items():
             columns[j][i] = x
     return list(columns.values())
-
-
-def _carry_rows(vectors: list[dict], q: int) -> defaultdict:
-    """The carried entries by row, {vector: entry}, kept in (-q, q)."""
-    carry: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for k, vector in enumerate(vectors):
-        for i, x in vector.items():
-            if not -q < x < q:
-                x %= q
-            if x:
-                carry[i][k] = x
-    return carry
-
-
-def _members(carry: dict, outside: set[int], count: int) -> list[bool]:
-    """Whether each of ``count`` carried vectors lies in the span, once the
-    elimination is done: what is left sits at unpivoted rows, where only
-    0 mod l^N is in the span."""
-    outside.update(k for row in carry.values() for k, x in row.items() if x)
-    return [k not in outside for k in range(count)]
 
 
 def _eliminate(
@@ -260,11 +226,7 @@ def _norm_exponent(column: Collection[int], ell: int) -> int:
 
 
 def span_elimination(
-    columns: list[dict],
-    dimension: int,
-    ell: int,
-    vectors: list[dict] = (),
-    rows: Collection[int] = (),
+    columns: list[dict], dimension: int, ell: int, vectors: list[dict], rows: Collection[int]
 ) -> tuple[list[int], list[bool], int]:
     """One elimination of the columns that carries the vectors, all given as
     for ``divisor_valuations``: the l-valuations of the nonzero elementary
@@ -292,26 +254,36 @@ def span_elimination(
     elementary divisors stay below N too; if any entry is left there, one
     kernel run on it at N counts them.  A second pass eliminates the rest.
 
-    >>> span_elimination([{0: 2, 1: 1}, {1: 2}], 2, 2)
+    >>> span_elimination([{0: 2, 1: 1}, {1: 2}], 2, 2, (), ())
     ([0, 2], [], 0)
     >>> span_elimination([{0: 3, 1: 6}, {0: 1, 1: 2}], 2, 3, [{0: 2, 1: 4}, {1: 1}], [1])
     ([0], [True, False], 1)
-    >>> span_elimination([{0: 2}], 2, 2, [{0: 6}, {0: 1}, {1: 4}, {}])[1]
+    >>> span_elimination([{0: 2}], 2, 2, [{0: 6}, {0: 1}, {1: 4}, {}], ())[1]
     [True, False, False, True]
     """
     exponent = _hadamard_exponent(columns, dimension, ell)
     exponent += max((_norm_exponent(v.values(), ell) for v in vectors), default=0)
     top = ell**exponent
     live, holders = _live_rows(columns, top)
-    carry = _carry_rows(vectors, top)
+    # the carried entries by row, {vector: entry}, kept in (-l^N, l^N)
+    carry: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for k, vector in enumerate(vectors):
+        for i, x in vector.items():
+            if not -top < x < top:
+                x %= top
+            if x:
+                carry[i][k] = x
     rows = set(rows)
-    diag, outside = _eliminate(live, holders, carry, ell, exponent, rows) if rows else ([], set())
+    diag, outside = _eliminate(live, holders, carry, ell, exponent, rows)
     rank, kept = len(diag), rows & live.keys()
     if kept:
         remainder = _columns({i: live[i] for i in kept})
         rank += sum(v < exponent for v in divisor_valuations(remainder, len(kept), ell, exponent))
     rest, more = _eliminate(live, holders, carry, ell, exponent)
-    return diag + rest, _members(carry, outside | more, len(vectors)), rank
+    # what is left sits at unpivoted rows, where only 0 mod l^N is in the span
+    outside |= more
+    outside.update(k for row in carry.values() for k, x in row.items() if x)
+    return diag + rest, [k not in outside for k in range(len(vectors))], rank
 
 
 def _hadamard_exponent(columns: list[dict], dimension: int, ell: int) -> int:

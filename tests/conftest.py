@@ -327,10 +327,10 @@ def eliminations(monkeypatch) -> list[tuple[str, int, int, int]]:
 
         return wrapper
 
-    def kernel_shape(columns, dimension, ell, exponent, carried=None):
-        return dimension, len(columns), len(carried or ())
+    def kernel_shape(columns, dimension, ell, exponent):
+        return dimension, len(columns), 0
 
-    def span_shape(columns, dimension, ell, vectors=(), rows=()):
+    def span_shape(columns, dimension, ell, vectors, rows):
         return dimension, len(columns), len(vectors)
 
     def pivots_shape(columns, rows, ell, exponent):
